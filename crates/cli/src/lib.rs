@@ -32,11 +32,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use oodb_lang::{check_schema, parse_schema, Schema};
+use oodb_lang::{check_schema, parse_schema, Requirement, Schema};
 use oodb_model::{FnRef, UserName};
 use secflow::algorithm::{
     analyze_batch_cached, analyze_batch_streaming, occurrences, AnalysisConfig, AnalysisSink,
-    BatchOptions, BatchOutcome, CacheStats, ClosureCache, GroupRecord,
+    BatchOptions, BatchOutcome, CacheScope, CacheStats, ClosureCache, GroupRecord,
 };
 use secflow::closure::{Closure, ProofMode};
 use secflow::incremental::IncrementalUser;
@@ -48,8 +48,12 @@ use secflow_dynamic::attack_requirement;
 use secflow_dynamic::strategy::StrategySpec;
 use secflow_dynamic::AttackerConfig;
 use secflow_obs::{Json, MetricsSink, Phases, Recorder, TraceBuffer, TraceFormat};
+use std::cell::OnceCell;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Process exit codes, one constant per outcome class. Scripts can rely on
 /// these staying distinct: a missing input file (3) is distinguishable from
@@ -1926,98 +1930,24 @@ fn fix_report(schema: &Schema) -> (String, i32) {
 // serve — the resident incremental session
 // ---------------------------------------------------------------------------
 
-/// A scanner over one NDJSON request line: a flat JSON object whose values
-/// are all strings, e.g. `{"op":"grant","user":"clerk","fn":"w_budget"}`.
-/// Anything else — nested values, numbers, trailing garbage — is a
-/// per-request error; the session keeps running.
-struct ReqScanner {
-    chars: Vec<char>,
-    pos: usize,
-}
-
-impl ReqScanner {
-    fn ws(&mut self) {
-        while self.chars.get(self.pos).is_some_and(|c| c.is_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.chars.get(self.pos).copied();
-        if c.is_some() {
-            self.pos += 1;
-        }
-        c
-    }
-
-    fn expect(&mut self, want: char) -> Result<(), String> {
-        match self.bump() {
-            Some(c) if c == want => Ok(()),
-            Some(c) => Err(format!("expected `{want}`, found `{c}`")),
-            None => Err(format!("expected `{want}`, found end of line")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut s = String::new();
-        loop {
-            match self.bump() {
-                Some('"') => return Ok(s),
-                Some('\\') => match self.bump() {
-                    Some('"') => s.push('"'),
-                    Some('\\') => s.push('\\'),
-                    Some('/') => s.push('/'),
-                    Some('n') => s.push('\n'),
-                    Some('t') => s.push('\t'),
-                    Some('r') => s.push('\r'),
-                    Some(other) => return Err(format!("unsupported escape `\\{other}`")),
-                    None => return Err("unterminated string escape".into()),
-                },
-                Some(c) => s.push(c),
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-}
-
 /// Parse one request line into its `(key, value)` fields, preserving order.
+/// A request is a flat JSON object whose values are all strings, e.g.
+/// `{"op":"grant","user":"clerk","fn":"w_budget"}`. Anything else — nested
+/// values, numbers, trailing garbage — is a per-request error; the session
+/// keeps running.
 fn parse_request(line: &str) -> Result<Vec<(String, String)>, String> {
-    let mut p = ReqScanner {
-        chars: line.chars().collect(),
-        pos: 0,
+    let Json::Obj(fields) = Json::parse(line).map_err(|e| format!("bad request: {e}"))? else {
+        return Err("bad request: expected a JSON object".into());
     };
-    p.ws();
-    p.expect('{').map_err(|e| format!("bad request: {e}"))?;
-    let mut fields = Vec::new();
-    p.ws();
-    if p.chars.get(p.pos) == Some(&'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.ws();
-            let key = p.string().map_err(|e| format!("bad request key: {e}"))?;
-            p.ws();
-            p.expect(':').map_err(|e| format!("bad request: {e}"))?;
-            p.ws();
-            let value = p
-                .string()
-                .map_err(|e| format!("bad request value for `{key}` (string values only): {e}"))?;
-            fields.push((key, value));
-            p.ws();
-            match p.bump() {
-                Some(',') => continue,
-                Some('}') => break,
-                Some(c) => return Err(format!("bad request: expected `,` or `}}`, found `{c}`")),
-                None => return Err("bad request: unterminated object".into()),
-            }
-        }
-    }
-    p.ws();
-    if p.pos != p.chars.len() {
-        return Err("bad request: trailing characters after the object".into());
-    }
-    Ok(fields)
+    fields
+        .into_iter()
+        .map(|(key, value)| match value {
+            Json::Str(s) => Ok((key, s)),
+            _ => Err(format!(
+                "bad request value for `{key}` (string values only)"
+            )),
+        })
+        .collect()
 }
 
 /// A requirement's verdict reduced to what the serve records carry —
@@ -2041,29 +1971,163 @@ impl ReqStatus {
     }
 }
 
+/// The policy's requirements grouped by user, built once per session so a
+/// check touches only its own user's requirements.
+struct ReqIndex<'s> {
+    /// Each user's run in `order` and `reqs`.
+    span: HashMap<&'s UserName, Range<usize>>,
+    /// Positions in the policy's requirement list, grouped by user (policy
+    /// order within a user).
+    order: Vec<usize>,
+    /// The same requirements, cloned once in grouped order, so a user's
+    /// requirements are one slice for the batch call.
+    reqs: Vec<Requirement>,
+    /// Each requirement's `require` text by policy position, rendered once.
+    text: Vec<String>,
+}
+
+impl<'s> ReqIndex<'s> {
+    fn new(schema: &'s Schema) -> ReqIndex<'s> {
+        let all = &schema.requirements;
+        let mut order: Vec<usize> = (0..all.len()).collect();
+        order.sort_by(|&a, &b| all[a].user.cmp(&all[b].user));
+        let mut span = HashMap::with_capacity(schema.users.len());
+        let mut start = 0;
+        for run in order.chunk_by(|&a, &b| all[a].user == all[b].user) {
+            span.insert(&all[run[0]].user, start..start + run.len());
+            start += run.len();
+        }
+        ReqIndex {
+            span,
+            reqs: order.iter().map(|&i| all[i].clone()).collect(),
+            order,
+            text: all.iter().map(ToString::to_string).collect(),
+        }
+    }
+
+    /// `user`'s requirements with their policy positions (empty when the
+    /// user names none).
+    fn of(&self, user: &UserName) -> (&[usize], &[Requirement]) {
+        let run = self.span.get(user).cloned().unwrap_or_default();
+        (&self.order[run.clone()], &self.reqs[run])
+    }
+}
+
+/// Request latencies of one serve op in fixed log-spaced buckets, so a
+/// session of any length holds the same few kilobytes. Bucket 0 holds
+/// sub-microsecond requests; above that, each doubling of the latency is
+/// split into eight buckets, so a reported percentile overstates the true
+/// one by at most 12.5% (and is exact below 16 µs).
+struct LatencyHist {
+    buckets: [u64; LatencyHist::BUCKETS],
+    count: u64,
+    max_us: u64,
+}
+
+impl LatencyHist {
+    const SUB: u32 = 8;
+    const BUCKETS: usize = 1 + 64 * Self::SUB as usize;
+
+    fn new() -> LatencyHist {
+        LatencyHist {
+            buckets: [0; Self::BUCKETS],
+            count: 0,
+            max_us: 0,
+        }
+    }
+
+    fn bucket(us: u64) -> usize {
+        if us == 0 {
+            return 0;
+        }
+        let exp = 63 - us.leading_zeros();
+        // The three bits below the leading one pick the sub-bucket.
+        let sub = ((u128::from(us) << 3) >> exp) as u32 & (Self::SUB - 1);
+        1 + (exp * Self::SUB + sub) as usize
+    }
+
+    /// The largest whole-microsecond latency bucket `b` can hold.
+    fn upper_us(b: usize) -> u64 {
+        if b == 0 {
+            return 0;
+        }
+        let (exp, sub) = ((b - 1) as u32 / Self::SUB, (b - 1) as u32 % Self::SUB);
+        let end = (u128::from(Self::SUB + sub + 1) << exp).div_ceil(u128::from(Self::SUB));
+        (end - 1).min(u128::from(u64::MAX)) as u64
+    }
+
+    fn record(&mut self, elapsed: std::time::Duration) {
+        let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+        self.buckets[Self::bucket(us)] += 1;
+        self.count += 1;
+        self.max_us = self.max_us.max(us);
+    }
+
+    /// The `q`-quantile (0 < q ≤ 1), as the upper edge of the bucket
+    /// holding that rank, capped at the largest latency seen.
+    fn quantile_us(&self, q: f64) -> u64 {
+        let rank = ((q * self.count as f64).ceil() as u64).max(1);
+        let mut seen = 0;
+        for (b, n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen >= rank {
+                return Self::upper_us(b).min(self.max_us);
+            }
+        }
+        0
+    }
+
+    fn json(&self) -> Json {
+        Json::Obj(vec![
+            ("count".to_owned(), Json::count(self.count)),
+            ("p50_us".to_owned(), Json::count(self.quantile_us(0.50))),
+            ("p99_us".to_owned(), Json::count(self.quantile_us(0.99))),
+            ("max_us".to_owned(), Json::count(self.max_us)),
+        ])
+    }
+}
+
+/// The ops whose latencies `stats` reports.
+const TIMED_OPS: [&str; 3] = ["check", "grant", "revoke"];
+
 /// The state behind one `secflow serve` session: per-user incremental
 /// closures materialised on first edit, the last-reported statuses the
 /// edit deltas are diffed against, and the process-wide [`ClosureCache`]
 /// answering checks of users that were never edited.
+///
+/// A check costs one cache lookup plus the user's own requirements. The
+/// two policy-wide structures it reads — the per-user requirement index
+/// and the [`CacheScope`] holding the schema fingerprint — are built once,
+/// on first use, never before the `ready` line.
 struct ServeState<'s> {
     schema: &'s Schema,
-    config: AnalysisConfig,
-    resident: std::collections::BTreeMap<UserName, IncrementalUser>,
-    last: std::collections::BTreeMap<UserName, Vec<(usize, ReqStatus)>>,
+    config: &'s AnalysisConfig,
+    index: OnceCell<ReqIndex<'s>>,
+    scope: OnceCell<CacheScope<'s>>,
+    resident: BTreeMap<UserName, IncrementalUser>,
+    last: BTreeMap<UserName, Vec<(usize, ReqStatus)>>,
+    latency: [LatencyHist; TIMED_OPS.len()],
     requests: u64,
     edits: u64,
 }
 
 impl<'s> ServeState<'s> {
-    fn new(schema: &'s Schema) -> ServeState<'s> {
+    fn new(schema: &'s Schema, config: &'s AnalysisConfig) -> ServeState<'s> {
         ServeState {
             schema,
-            config: AnalysisConfig::default(),
-            resident: std::collections::BTreeMap::new(),
-            last: std::collections::BTreeMap::new(),
+            config,
+            index: OnceCell::new(),
+            scope: OnceCell::new(),
+            resident: BTreeMap::new(),
+            last: BTreeMap::new(),
+            latency: std::array::from_fn(|_| LatencyHist::new()),
             requests: 0,
             edits: 0,
         }
+    }
+
+    fn index(&self) -> &ReqIndex<'s> {
+        self.index.get_or_init(|| ReqIndex::new(self.schema))
     }
 
     fn ready_line(&self) -> String {
@@ -2098,33 +2162,17 @@ impl<'s> ServeState<'s> {
     /// the maintained incremental closure when the user is resident, the
     /// cached batch path otherwise.
     fn statuses(&self, user: &UserName) -> Vec<(usize, ReqStatus)> {
-        let idxs: Vec<usize> = self
-            .schema
-            .requirements
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| &r.user == user)
-            .map(|(i, _)| i)
-            .collect();
+        let (idxs, reqs) = self.index().of(user);
         if let Some(inc) = self.resident.get(user) {
-            idxs.into_iter()
-                .map(|i| {
-                    let v = inc.check(&self.schema.requirements[i]);
-                    (i, ReqStatus::of(&Ok(v)))
-                })
+            idxs.iter()
+                .zip(reqs)
+                .map(|(&i, r)| (i, ReqStatus::of(&Ok(inc.check(r)))))
                 .collect()
         } else {
-            let reqs: Vec<_> = idxs
-                .iter()
-                .map(|&i| self.schema.requirements[i].clone())
-                .collect();
-            let outcome = analyze_batch_cached(
-                self.schema,
-                &reqs,
-                &self.config,
-                &BatchOptions::default(),
-                Some(closure_cache()),
-            );
+            let scope = self
+                .scope
+                .get_or_init(|| CacheScope::new(closure_cache(), self.schema, self.config));
+            let outcome = scope.analyze_batch(reqs, &BatchOptions::default());
             idxs.iter()
                 .zip(&outcome.verdicts)
                 .map(|(&i, v)| (i, ReqStatus::of(v)))
@@ -2135,10 +2183,9 @@ impl<'s> ServeState<'s> {
     /// One verdict object, shaped exactly like the `check --stream
     /// --format=ndjson` per-verdict records.
     fn verdict_json(&self, idx: usize, st: &ReqStatus) -> Json {
-        let req = &self.schema.requirements[idx];
         let mut fields = vec![
             ("requirement".to_owned(), Json::count(idx as u64)),
-            ("require".to_owned(), Json::str(&req.to_string())),
+            ("require".to_owned(), Json::str(&self.index().text[idx])),
         ];
         match st {
             ReqStatus::Satisfied => fields.push(("status".to_owned(), Json::str("satisfied"))),
@@ -2195,11 +2242,20 @@ impl<'s> ServeState<'s> {
     }
 
     fn dispatch(&mut self, line: &str) -> Result<(String, bool), String> {
+        let start = Instant::now();
         let fields = parse_request(line)?;
         let op = Self::need(&fields, "op", "request")?.to_owned();
-        match op.as_str() {
+        let resp = self.run_op(&op, &fields);
+        if let Some(k) = TIMED_OPS.iter().position(|t| *t == op) {
+            self.latency[k].record(start.elapsed());
+        }
+        resp
+    }
+
+    fn run_op(&mut self, op: &str, fields: &[(String, String)]) -> Result<(String, bool), String> {
+        match op {
             "check" => {
-                let user = self.user_named(Self::need(&fields, "user", "check")?)?;
+                let user = self.user_named(Self::need(fields, "user", "check")?)?;
                 let statuses = self.statuses(&user);
                 let verdicts: Vec<Json> = statuses
                     .iter()
@@ -2214,9 +2270,9 @@ impl<'s> ServeState<'s> {
                 Ok((format!("{obj}\n"), false))
             }
             "grant" | "revoke" => {
-                let user = self.user_named(Self::need(&fields, "user", &op)?)?;
-                let f: FnRef = Self::need(&fields, "fn", &op)?.parse()?;
-                self.edit(&op, user, &f)
+                let user = self.user_named(Self::need(fields, "user", op)?)?;
+                let f: FnRef = Self::need(fields, "fn", op)?.parse()?;
+                self.edit(op, user, &f)
             }
             "stats" => Ok((self.stats_line(), false)),
             "shutdown" => Ok((self.shutdown_line(), true)),
@@ -2231,7 +2287,7 @@ impl<'s> ServeState<'s> {
     /// edit, and report only the verdicts that changed.
     fn edit(&mut self, op: &str, user: UserName, f: &FnRef) -> Result<(String, bool), String> {
         if !self.resident.contains_key(&user) {
-            let inc = IncrementalUser::new(self.schema, &user, &self.config)
+            let inc = IncrementalUser::new(self.schema, &user, self.config)
                 .map_err(|e| format!("cannot materialise `{}`: {e}", user.as_str()))?;
             self.resident.insert(user.clone(), inc);
         }
@@ -2313,6 +2369,16 @@ impl<'s> ServeState<'s> {
                         ("evictions".to_owned(), Json::count(cs.evictions)),
                     ]),
                 ),
+                (
+                    "latency".to_owned(),
+                    Json::Obj(
+                        TIMED_OPS
+                            .iter()
+                            .zip(&self.latency)
+                            .map(|(op, h)| ((*op).to_owned(), h.json()))
+                            .collect(),
+                    ),
+                ),
             ]),
         )]);
         format!("{obj}\n")
@@ -2329,7 +2395,8 @@ where
     I: IntoIterator,
     I::Item: AsRef<str>,
 {
-    let mut state = ServeState::new(schema);
+    let config = AnalysisConfig::default();
+    let mut state = ServeState::new(schema, &config);
     let mut out = state.ready_line();
     for line in requests {
         let (resp, done) = state.handle(line.as_ref());
@@ -2349,7 +2416,8 @@ where
 /// streamed.
 fn serve_stdin(schema: &Schema) -> (String, i32) {
     use std::io::{BufRead as _, Write as _};
-    let mut state = ServeState::new(schema);
+    let config = AnalysisConfig::default();
+    let mut state = ServeState::new(schema, &config);
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     let _ = out.write_all(state.ready_line().as_bytes());
@@ -3587,10 +3655,13 @@ mod tests {
             r#"{"op":"check","user":"nobody"}"#,
             r#"{"op":"grant","user":"clerk","fn":"no_such_fn"}"#,
             r#"{"op":"check","user":"clerk","extra":42}"#,
-            r#"{"op":"check","user":"clerk"}"#,
+            r#"{"op":"check","user":["clerk"]}"#,
+            r#"{"op":"check","user":"clerk"} trailing"#,
+            // A `\u` escape is ordinary JSON: `\u0065` is `e`.
+            r#"{"op":"check","user":"cl\u0065rk"}"#,
         ]);
         assert_eq!(code, exit::OK, "request errors never kill the session");
-        for (i, line) in lines[1..7].iter().enumerate() {
+        for (i, line) in lines[1..9].iter().enumerate() {
             let msg = line
                 .get("error")
                 .and_then(Json::as_str)
@@ -3602,13 +3673,203 @@ mod tests {
                 "error records carry the request sequence number"
             );
         }
+        let msg = lines[7].get("error").and_then(Json::as_str).unwrap();
+        assert!(msg.contains("string values only"), "{msg}");
         // The failed grant was transactional: the follow-up check still
         // answers, and with the original (violated) verdict.
         assert_eq!(
-            delta_statuses(&lines[7], "verdicts"),
+            delta_statuses(&lines[9], "verdicts"),
             vec![(0, "violated".to_owned())]
         );
-        assert!(lines[8].get("shutdown").is_some());
+        assert!(lines[10].get("shutdown").is_some());
+    }
+
+    /// `(requirement, status, occurrences)` of every verdict object in a
+    /// serve `verdicts` array or an NDJSON stream record.
+    fn verdict_records(obj: &Json) -> Vec<(u64, String, Option<u64>)> {
+        obj.get("verdicts")
+            .and_then(Json::as_arr)
+            .expect("verdict array")
+            .iter()
+            .map(|v| {
+                (
+                    v.get("requirement").and_then(Json::as_u64).unwrap(),
+                    v.get("status").and_then(Json::as_str).unwrap().to_owned(),
+                    v.get("occurrences").and_then(Json::as_u64),
+                )
+            })
+            .collect()
+    }
+
+    /// The cache key's schema half is computed once per session, so two
+    /// sessions over different policies in one process must still never
+    /// share entries. The users here have identical names and capability
+    /// text (identical `caps` fingerprints) but `checkBudget` reads the
+    /// salary in one policy and not in the other.
+    #[test]
+    fn serve_sessions_over_different_policies_keep_their_own_verdicts() {
+        const LEAKY: &str = r#"
+            class Broker { salary: int, budget: int }
+            fn checkBudget(b: Broker): bool { r_budget(b) >= r_salary(b) }
+            user clerk { checkBudget, w_budget }
+            require (clerk, r_salary(x) : ti)
+        "#;
+        const SEALED: &str = r#"
+            class Broker { salary: int, budget: int }
+            fn checkBudget(b: Broker): bool { r_budget(b) >= 0 }
+            user clerk { checkBudget, w_budget }
+            require (clerk, r_salary(x) : ti)
+        "#;
+        let status = |src: &str| {
+            let schema = load_str(src).expect("policy loads");
+            let (out, _) = serve_session(&schema, [r#"{"op":"check","user":"clerk"}"#]);
+            let check = Json::parse(out.lines().nth(1).expect("check response")).unwrap();
+            delta_statuses(&check, "verdicts")
+        };
+        let violated = vec![(0, "violated".to_owned())];
+        let satisfied = vec![(0, "satisfied".to_owned())];
+        assert_eq!(status(LEAKY), violated);
+        assert_eq!(status(SEALED), satisfied);
+        assert_eq!(status(LEAKY), violated);
+        assert_eq!(status(SEALED), satisfied);
+    }
+
+    #[test]
+    fn serve_checks_agree_with_the_streamed_batch() {
+        const MULTI: &str = r#"
+            class Broker { salary: int, budget: int, profit: int }
+            fn calcSalary(budget: int, profit: int): int { budget / 10 + profit / 2 }
+            fn checkBudget(b: Broker): bool { r_budget(b) >= 10 * r_salary(b) }
+            fn updateSalary(b: Broker): null {
+              w_salary(b, calcSalary(r_budget(b), r_profit(b)))
+            }
+            user clerk { checkBudget, w_budget }
+            user safe_clerk { checkBudget }
+            user payroll { updateSalary, w_budget }
+            user auditor { r_salary }
+            require (clerk, r_salary(x) : ti)
+            require (payroll, w_salary(x, v : ta))
+            require (safe_clerk, r_salary(x) : ti)
+            require (clerk, r_budget(x) : ti)
+            require (payroll, r_salary(x) : ti)
+        "#;
+        let schema = load_str(MULTI).expect("policy loads");
+        let stream = Command::Check {
+            file: "-".into(),
+            explain: false,
+            jobs: 1,
+            full_saturation: false,
+            certify: false,
+            stream: true,
+            ndjson: true,
+        };
+        let (out, _) = run_on_source(&stream, MULTI);
+        let mut batch: BTreeMap<String, Vec<(u64, String, Option<u64>)>> = BTreeMap::new();
+        for line in out.lines() {
+            let rec = Json::parse(line).unwrap();
+            if let Some(user) = rec.get("user").and_then(Json::as_str) {
+                batch.insert(user.to_owned(), verdict_records(&rec));
+            }
+        }
+        let users: Vec<&str> = schema.users.keys().map(|u| u.as_str()).collect();
+        assert!(
+            !batch.contains_key("auditor"),
+            "auditor names no requirement"
+        );
+        let statuses: Vec<&str> = batch
+            .values()
+            .flatten()
+            .map(|(_, st, _)| st.as_str())
+            .collect();
+        assert!(statuses.contains(&"violated") && statuses.contains(&"satisfied"));
+
+        let check = |u: &str| format!(r#"{{"op":"check","user":"{u}"}}"#);
+        let mut script: Vec<String> = users.iter().map(|u| check(u)).collect();
+        script.push(r#"{"op":"revoke","user":"clerk","fn":"w_budget"}"#.to_owned());
+        script.extend(users.iter().filter(|u| **u != "clerk").map(|u| check(u)));
+        script.push(r#"{"op":"grant","user":"payroll","fn":"r_salary"}"#.to_owned());
+        script.extend(
+            users
+                .iter()
+                .filter(|u| !["clerk", "payroll"].contains(*u))
+                .map(|u| check(u)),
+        );
+        let (out, code) = serve_session(&schema, &script);
+        assert_eq!(code, exit::OK);
+        let mut checks = 0;
+        for line in out.lines() {
+            let resp = Json::parse(line).unwrap();
+            assert!(resp.get("error").is_none(), "{line}");
+            if resp.get("op").and_then(Json::as_str) != Some("check") {
+                continue;
+            }
+            let user = resp.get("user").and_then(Json::as_str).unwrap();
+            let want = batch.get(user).cloned().unwrap_or_default();
+            assert_eq!(verdict_records(&resp), want, "serve vs batch for `{user}`");
+            checks += 1;
+        }
+        assert_eq!(checks, 3 * users.len() - 3);
+    }
+
+    #[test]
+    fn serve_stats_report_per_op_latency() {
+        let (lines, _) = serve_lines(&[
+            r#"{"op":"check","user":"clerk"}"#,
+            r#"{"op":"check","user":"safe_clerk"}"#,
+            r#"{"op":"check","user":"nobody"}"#,
+            r#"{"op":"revoke","user":"clerk","fn":"w_budget"}"#,
+            r#"{"op":"stats"}"#,
+        ]);
+        let stats = lines[5].get("stats").expect("stats record");
+        let Some(Json::Obj(ops)) = stats.get("latency") else {
+            panic!("latency object");
+        };
+        let keys = |fields: &[(String, Json)]| -> Vec<String> {
+            fields.iter().map(|(k, _)| k.clone()).collect()
+        };
+        assert_eq!(keys(ops), ["check", "grant", "revoke"]);
+        for (op, count) in [("check", 3), ("grant", 0), ("revoke", 1)] {
+            let Some(Json::Obj(fields)) = stats.get("latency").and_then(|l| l.get(op)) else {
+                panic!("{op} latency");
+            };
+            assert_eq!(keys(fields), ["count", "p50_us", "p99_us", "max_us"]);
+            let get = |k: &str| {
+                fields
+                    .iter()
+                    .find(|(f, _)| f == k)
+                    .and_then(|(_, v)| v.as_u64())
+            };
+            assert_eq!(get("count"), Some(count), "{op}");
+            assert!(get("p50_us") <= get("p99_us") && get("p99_us") <= get("max_us"));
+        }
+        // The pre-existing keys keep their names.
+        let Some(Json::Obj(cache)) = stats.get("cache") else {
+            panic!("cache object");
+        };
+        for k in ["hits", "misses", "evictions"] {
+            assert!(cache.iter().any(|(f, _)| f == k), "cache.{k}");
+        }
+    }
+
+    #[test]
+    fn latency_buckets_are_exact_when_small_and_bounded_above() {
+        for us in 0..16 {
+            assert_eq!(LatencyHist::upper_us(LatencyHist::bucket(us)), us);
+        }
+        for us in (16..1_000_000).step_by(997).chain([u64::MAX / 2, u64::MAX]) {
+            let upper = LatencyHist::upper_us(LatencyHist::bucket(us));
+            assert!(upper >= us, "{us} lands below its bucket's edge {upper}");
+            assert!(upper as f64 <= us as f64 * 1.125, "{us} -> {upper}");
+        }
+        let mut h = LatencyHist::new();
+        for us in 1..=100 {
+            h.record(std::time::Duration::from_micros(us));
+        }
+        assert_eq!(h.count, 100);
+        assert_eq!(h.quantile_us(1.0), 100);
+        let p50 = h.quantile_us(0.5);
+        assert!((50..=56).contains(&p50), "{p50}");
+        assert_eq!(LatencyHist::new().quantile_us(0.5), 0);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::term::Term;
 use crate::unfold::{ExprId, NKind, NProgram, UnfoldError, DEFAULT_NODE_LIMIT};
 use oodb_lang::requirement::{Cap, Requirement};
 use oodb_lang::Schema;
-use oodb_model::{FnRef, Type, UserName};
+use oodb_model::{CapabilityList, FnRef, Type, UserName};
 use secflow_obs::{MetricsSink, Phases};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
@@ -873,12 +873,74 @@ fn entry_covers(entry: &CacheEntry, reqs: &[&Requirement]) -> bool {
     })
 }
 
-/// Shared per-batch cache context: the cache plus the fingerprints that are
-/// constant across groups (schema and config), computed once per call.
-struct CacheCtx<'a> {
+/// The policy-invariant half of a [`ClosureCache`] key, bound to the policy
+/// it describes.
+///
+/// A cache key is `(schema, capability list, config)` fingerprints. Only the
+/// capability list varies between groups; the schema fingerprint renders
+/// and hashes the whole policy, so it costs O(policy) while a group's own
+/// work is O(user). A one-shot batch builds a scope per call (what
+/// [`analyze_batch_cached`] does); a resident checker builds one per loaded
+/// policy and answers every request through it, so a cache hit costs one
+/// lookup plus the user's own requirements.
+///
+/// The scope borrows the schema and configuration it fingerprints, so a
+/// key can never be formed against a different policy than the one being
+/// analyzed.
+pub struct CacheScope<'a> {
     cache: &'a ClosureCache,
+    schema: &'a Schema,
+    config: &'a AnalysisConfig,
     schema_fp: (u64, u64),
     config_fp: (u64, u64),
+}
+
+impl<'a> CacheScope<'a> {
+    /// Fingerprint `schema` and `config` once, for every batch run through
+    /// `cache` against them.
+    pub fn new(
+        cache: &'a ClosureCache,
+        schema: &'a Schema,
+        config: &'a AnalysisConfig,
+    ) -> CacheScope<'a> {
+        CacheScope {
+            cache,
+            schema,
+            config,
+            schema_fp: fingerprint("schema", &schema.to_string()),
+            config_fp: semantic_fingerprint(config),
+        }
+    }
+
+    /// [`analyze_batch_cached`] against this scope's policy and cache,
+    /// without re-fingerprinting the policy.
+    pub fn analyze_batch(&self, reqs: &[Requirement], opts: &BatchOptions) -> BatchOutcome {
+        batch_outcome(self.schema, self.config, Some(self), reqs, opts)
+    }
+
+    /// [`analyze_batch_streaming`] against this scope's policy and cache,
+    /// without re-fingerprinting the policy.
+    pub fn analyze_batch_streaming(
+        &self,
+        reqs: &[Requirement],
+        opts: &BatchOptions,
+        sink: &dyn AnalysisSink,
+    ) -> StreamSummary {
+        stream_summary(self.schema, self.config, Some(self), reqs, opts, sink)
+    }
+
+    /// The full key for one capability list.
+    fn key(&self, caps_fp: (u64, u64)) -> CacheKey {
+        CacheKey {
+            schema_fp: self.schema_fp,
+            caps_fp,
+            config_fp: self.config_fp,
+        }
+    }
+
+    fn occupancy(&self) -> (usize, usize) {
+        (self.cache.len(), self.cache.capacity())
+    }
 }
 
 /// Serve one group's shared phases through the cache: return the unfolding,
@@ -886,20 +948,16 @@ struct CacheCtx<'a> {
 /// cached and new goals) only when the cached entry cannot cover the
 /// group's requirements.
 fn demand_shared_cached(
-    ctx: &CacheCtx<'_>,
-    key: CacheKey,
-    schema: &Schema,
-    user: &UserName,
-    config: &AnalysisConfig,
+    scope: &CacheScope<'_>,
+    caps: &CapabilityList,
     group_reqs: &[&Requirement],
 ) -> Result<(Arc<NProgram>, Arc<Closure>, OccMemo), AnalysisError> {
-    let caps = schema
-        .user(user)
-        .ok_or_else(|| AnalysisError::UnknownUser(user.to_string()))?;
-    let prior = ctx.cache.lookup(&key);
+    let (schema, config, cache) = (scope.schema, scope.config, scope.cache);
+    let key = scope.key(fingerprint("caps", &caps.to_string()));
+    let prior = cache.lookup(&key);
     if let Some(entry) = &prior {
         if entry_covers(entry, group_reqs) {
-            ctx.cache.note_hit();
+            cache.note_hit();
             return Ok((
                 Arc::clone(&entry.prog),
                 Arc::clone(&entry.closure),
@@ -907,7 +965,7 @@ fn demand_shared_cached(
             ));
         }
     }
-    ctx.cache.note_miss(prior.is_some());
+    cache.note_miss(prior.is_some());
     let (prog, mut memo, mut covered) = match prior {
         Some(entry) => (entry.prog, OccMemo::from_entries(entry.occs), entry.covered),
         None => (
@@ -943,7 +1001,7 @@ fn demand_shared_cached(
         config.saturation,
     )?);
     let drained = !closure.early_exited();
-    ctx.cache.store(
+    cache.store(
         key,
         CacheEntry {
             prog: Arc::clone(&prog),
@@ -1024,72 +1082,106 @@ pub fn analyze_batch_cached(
     opts: &BatchOptions,
     cache: Option<&ClosureCache>,
 ) -> BatchOutcome {
-    let ctx = cache.map(|cache| CacheCtx {
-        cache,
-        schema_fp: fingerprint("schema", &schema.to_string()),
-        config_fp: semantic_fingerprint(config),
-    });
-    let grouped = group_by_user(reqs);
-    let n_groups = grouped.len();
-    let jobs = effective_jobs(opts.jobs).min(n_groups.max(1));
-    type GroupOut = (BatchGroup, Vec<(usize, Result<Verdict, AnalysisError>)>);
-    let mut outs: Vec<Option<GroupOut>> = Vec::with_capacity(n_groups);
-    let mut steals = 0;
-
-    if jobs <= 1 {
-        for (user, idxs) in &grouped {
-            outs.push(Some(run_group(
-                schema,
-                reqs,
-                config,
-                opts,
-                user,
-                idxs,
-                ctx.as_ref(),
-            )));
-        }
-    } else {
-        // Per-slot mutexes keep result writes contention-free and slot
-        // order independent of scheduling, so the pool's nondeterministic
-        // group→worker assignment never reaches the output.
-        let slots: Vec<Mutex<Option<GroupOut>>> = (0..n_groups).map(|_| Mutex::new(None)).collect();
-        let (_, pool_steals) = run_pool(
-            n_groups,
-            jobs,
-            opts.schedule,
-            |_| (),
-            |_state, gi| {
-                let (user, idxs) = &grouped[gi];
-                let out = run_group(schema, reqs, config, opts, user, idxs, ctx.as_ref());
-                *slots[gi].lock().expect("no panics hold this lock") = Some(out);
-            },
-        );
-        steals = pool_steals;
-        for slot in slots {
-            outs.push(slot.into_inner().expect("no panics hold this lock"));
-        }
+    match cache {
+        Some(cache) => CacheScope::new(cache, schema, config).analyze_batch(reqs, opts),
+        None => batch_outcome(schema, config, None, reqs, opts),
     }
+}
 
+/// The buffered batch: every group's bookkeeping kept and its verdicts
+/// reassembled in input order.
+fn batch_outcome(
+    schema: &Schema,
+    config: &AnalysisConfig,
+    scope: Option<&CacheScope<'_>>,
+    reqs: &[Requirement],
+    opts: &BatchOptions,
+) -> BatchOutcome {
+    type GroupOut = (usize, BatchGroup, GroupVerdicts);
+    let run = run_batch(
+        schema,
+        config,
+        scope,
+        reqs,
+        opts,
+        |_| Vec::<GroupOut>::new(),
+        |done, gi, group, vs| done.push((gi, group, vs)),
+    );
+    // Results are placed by group index, so the pool's nondeterministic
+    // group→worker assignment never reaches the output.
+    let mut slots: Vec<Option<BatchGroup>> = (0..run.groups).map(|_| None).collect();
     let mut verdicts: Vec<Option<Result<Verdict, AnalysisError>>> =
         reqs.iter().map(|_| None).collect();
-    let mut groups = Vec::with_capacity(n_groups);
-    for out in outs {
-        let (group, vs) = out.expect("every group index was claimed by a worker");
+    for (gi, group, vs) in run.states.into_iter().flatten() {
         for (i, v) in vs {
             verdicts[i] = Some(v);
         }
-        groups.push(group);
+        slots[gi] = Some(group);
     }
     BatchOutcome {
         verdicts: verdicts
             .into_iter()
             .map(|v| v.expect("every requirement belongs to exactly one group"))
             .collect(),
-        groups,
-        jobs_used: jobs,
+        groups: slots
+            .into_iter()
+            .map(|g| g.expect("every group index was claimed by a worker"))
+            .collect(),
+        jobs_used: run.jobs,
+        steals: run.steals,
+        cache_occupancy: scope.map(CacheScope::occupancy),
+        cache_stats: scope.map(|s| s.cache.stats()),
+    }
+}
+
+/// What [`run_batch`] leaves once every group has been handed on.
+struct BatchRun<S> {
+    /// Per-worker states, in worker-index order.
+    states: Vec<S>,
+    groups: usize,
+    jobs: usize,
+    steals: u64,
+}
+
+/// The one batch body behind both the buffered and the streaming drivers:
+/// group by user, run every group (serially, or on the work-stealing pool),
+/// and pass each finished group to `done` with its worker's private state.
+fn run_batch<S, I, D>(
+    schema: &Schema,
+    config: &AnalysisConfig,
+    scope: Option<&CacheScope<'_>>,
+    reqs: &[Requirement],
+    opts: &BatchOptions,
+    init: I,
+    done: D,
+) -> BatchRun<S>
+where
+    S: Send,
+    I: Fn(usize) -> S + Sync,
+    D: Fn(&mut S, usize, BatchGroup, GroupVerdicts) + Sync,
+{
+    let grouped = group_by_user(reqs);
+    let n_groups = grouped.len();
+    let jobs = effective_jobs(opts.jobs).min(n_groups.max(1));
+    let work = |state: &mut S, gi: usize| {
+        let (user, idxs) = &grouped[gi];
+        let (group, verdicts) = run_group(schema, reqs, config, opts, user, idxs, scope);
+        done(state, gi, group, verdicts);
+    };
+    let (states, steals) = if jobs <= 1 {
+        let mut state = init(0);
+        for gi in 0..n_groups {
+            work(&mut state, gi);
+        }
+        (vec![state], 0)
+    } else {
+        run_pool(n_groups, jobs, opts.schedule, init, work)
+    };
+    BatchRun {
+        states,
+        groups: n_groups,
+        jobs,
         steals,
-        cache_occupancy: cache.map(|c| (c.len(), c.capacity())),
-        cache_stats: cache.map(|c| c.stats()),
     }
 }
 
@@ -1286,15 +1378,24 @@ pub fn analyze_batch_streaming(
     cache: Option<&ClosureCache>,
     sink: &dyn AnalysisSink,
 ) -> StreamSummary {
-    let ctx = cache.map(|cache| CacheCtx {
-        cache,
-        schema_fp: fingerprint("schema", &schema.to_string()),
-        config_fp: semantic_fingerprint(config),
-    });
-    let grouped = group_by_user(reqs);
-    let n_groups = grouped.len();
-    let jobs = effective_jobs(opts.jobs).min(n_groups.max(1));
+    match cache {
+        Some(cache) => {
+            CacheScope::new(cache, schema, config).analyze_batch_streaming(reqs, opts, sink)
+        }
+        None => stream_summary(schema, config, None, reqs, opts, sink),
+    }
+}
 
+/// The streaming batch: each finished group goes straight to `sink`, and
+/// only per-worker totals are kept.
+fn stream_summary(
+    schema: &Schema,
+    config: &AnalysisConfig,
+    scope: Option<&CacheScope<'_>>,
+    reqs: &[Requirement],
+    opts: &BatchOptions,
+    sink: &dyn AnalysisSink,
+) -> StreamSummary {
     #[derive(Default)]
     struct WorkerAcc {
         worker: usize,
@@ -1302,54 +1403,44 @@ pub fn analyze_batch_streaming(
         occurrences: u64,
     }
 
-    let emit_group = |acc: &mut WorkerAcc, gi: usize| {
-        let (user, idxs) = &grouped[gi];
-        let (group, verdicts) = run_group(schema, reqs, config, opts, user, idxs, ctx.as_ref());
-        acc.closure.merge(&group.stats.closure);
-        acc.occurrences += group.stats.occurrences_checked;
-        sink.emit(GroupRecord {
-            group_index: gi,
-            worker: acc.worker,
-            user: group.user,
-            verdicts,
-            occurrences_checked: group.stats.occurrences_checked,
-        });
-    };
-
-    let (accs, steals) = if jobs <= 1 {
-        let mut acc = WorkerAcc::default();
-        for gi in 0..n_groups {
-            emit_group(&mut acc, gi);
-        }
-        (vec![acc], 0)
-    } else {
-        run_pool(
-            n_groups,
-            jobs,
-            opts.schedule,
-            |w| WorkerAcc {
-                worker: w,
-                ..WorkerAcc::default()
-            },
-            emit_group,
-        )
-    };
+    let run = run_batch(
+        schema,
+        config,
+        scope,
+        reqs,
+        opts,
+        |w| WorkerAcc {
+            worker: w,
+            ..WorkerAcc::default()
+        },
+        |acc, gi, group, verdicts| {
+            acc.closure.merge(&group.stats.closure);
+            acc.occurrences += group.stats.occurrences_checked;
+            sink.emit(GroupRecord {
+                group_index: gi,
+                worker: acc.worker,
+                user: group.user,
+                verdicts,
+                occurrences_checked: group.stats.occurrences_checked,
+            });
+        },
+    );
 
     let mut closure = ClosureStats::default();
     let mut occurrences = 0;
-    for acc in &accs {
+    for acc in &run.states {
         closure.merge(&acc.closure);
         occurrences += acc.occurrences;
     }
     StreamSummary {
-        groups: n_groups,
+        groups: run.groups,
         requirements: reqs.len(),
-        jobs_used: jobs,
-        steals,
+        jobs_used: run.jobs,
+        steals: run.steals,
         closure,
         occurrences,
-        cache_occupancy: cache.map(|c| (c.len(), c.capacity())),
-        cache_stats: cache.map(|c| c.stats()),
+        cache_occupancy: scope.map(CacheScope::occupancy),
+        cache_stats: scope.map(|s| s.cache.stats()),
     }
 }
 
@@ -1398,7 +1489,7 @@ fn run_group(
     opts: &BatchOptions,
     user: &UserName,
     req_indexes: &[usize],
-    cache: Option<&CacheCtx<'_>>,
+    scope: Option<&CacheScope<'_>>,
 ) -> (BatchGroup, GroupVerdicts) {
     let mut group = BatchGroup {
         user: user.clone(),
@@ -1415,21 +1506,15 @@ fn run_group(
     let mut memo = OccMemo::default();
     let shared: Result<SharedArtifacts, AnalysisError> = (|| {
         if use_demand {
-            if let Some(ctx) = cache.filter(|_| !opts.collect_stats) {
-                let key = CacheKey {
-                    schema_fp: ctx.schema_fp,
-                    caps_fp: {
-                        let caps = schema
-                            .user(user)
-                            .ok_or_else(|| AnalysisError::UnknownUser(user.to_string()))?;
-                        fingerprint("caps", &caps.to_string())
-                    },
-                    config_fp: ctx.config_fp,
-                };
+            if let Some(scope) = scope.filter(|_| !opts.collect_stats) {
+                let caps = schema
+                    .user(user)
+                    .ok_or_else(|| AnalysisError::UnknownUser(user.to_string()))?;
                 let group_reqs: Vec<&Requirement> = req_indexes.iter().map(|&i| &reqs[i]).collect();
-                let (prog, closure, cached_memo) = group.stats.phases.time("closure", || {
-                    demand_shared_cached(ctx, key, schema, user, config, &group_reqs)
-                })?;
+                let (prog, closure, cached_memo) = group
+                    .stats
+                    .phases
+                    .time("closure", || demand_shared_cached(scope, caps, &group_reqs))?;
                 group.stats.program_nodes = prog.len() as u64;
                 memo = cached_memo;
                 return Ok(SharedArtifacts::Shared(prog, closure));
