@@ -1,8 +1,9 @@
 //! # secflow-bench
 //!
-//! Experiment implementations shared by the `harness` binary (which prints
-//! the EXPERIMENTS.md rows) and the Criterion benches. See DESIGN.md §4 for
-//! the experiment index E1–E7.
+//! Experiment implementations behind the `harness` binary, which prints
+//! the EXPERIMENTS.md rows and writes the `BENCH_*.json` ledgers — the
+//! repository's one benchmark system. See DESIGN.md §4 for the experiment
+//! index E1–E8.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

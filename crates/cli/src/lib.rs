@@ -1050,7 +1050,6 @@ fn check_batch(
         keep_artifacts: explain || certify,
         collect_stats: stats,
         full_saturation,
-        ..BatchOptions::default()
     };
     let cache = (!explain && !certify && !stats && !full_saturation).then(closure_cache);
     analyze_batch_cached(
@@ -1138,7 +1137,6 @@ pub fn audit_batch(schema: &Schema, jobs: usize) -> BatchOutcome {
         keep_artifacts: true,
         collect_stats: true,
         full_saturation: false,
-        ..BatchOptions::default()
     };
     analyze_batch_cached(
         schema,
@@ -1683,7 +1681,6 @@ fn check_report_stream(
         keep_artifacts: false,
         collect_stats: stats,
         full_saturation,
-        ..BatchOptions::default()
     };
     let cache = (!stats && !full_saturation).then(closure_cache);
 

@@ -22,7 +22,9 @@
 //!   `ta`/`pa` always, `ti`/`pi` exactly for basic-typed parameters) and
 //!   capabilities on the returned value are read off the body root.
 
-use crate::closure::{Closure, ClosureError, ProofMode, SaturationMode, DEFAULT_TERM_LIMIT};
+use crate::closure::{
+    Closure, ClosureError, ClosureOptions, ProofMode, SaturationMode, DEFAULT_TERM_LIMIT,
+};
 use crate::demand::{goal_exprs, DemandPlan};
 use crate::report::{Occurrence, OccurrenceKind, Verdict, Violation};
 use crate::rules::RuleConfig;
@@ -50,12 +52,29 @@ pub struct AnalysisConfig {
     pub term_limit: usize,
     /// Unfolding node budget.
     pub node_limit: usize,
-    /// Saturation strategy for the closure phase. Every mode computes the
-    /// same closure (identical terms, witnesses and verdicts — see
-    /// [`SaturationMode`]), so this knob is deliberately **excluded** from
-    /// the cache identity ([`semantic_fingerprint`]): switching it must hit
-    /// existing [`ClosureCache`] entries, not invalidate them.
+    /// The saturation engine. There is one, so nothing reads this; the
+    /// field is kept only because the standalone `perfbench` crate, built
+    /// unchanged against every revision it compares, passes it to
+    /// [`Closure::compute_demand_saturation`]. It is not part of the cache
+    /// identity ([`semantic_fingerprint`]).
     pub saturation: SaturationMode,
+}
+
+impl AnalysisConfig {
+    /// The [`ClosureOptions`] of one saturation under this configuration's
+    /// rule groups and term budget.
+    pub fn closure_options<'d>(
+        &self,
+        proofs: ProofMode,
+        demand: Option<&'d DemandPlan>,
+    ) -> ClosureOptions<'d> {
+        ClosureOptions {
+            rules: self.rules,
+            limit: self.term_limit,
+            proofs,
+            demand,
+        }
+    }
 }
 
 impl Default for AnalysisConfig {
@@ -72,9 +91,8 @@ impl Default for AnalysisConfig {
 /// Fingerprint of exactly the [`AnalysisConfig`] fields that can change
 /// closure *contents*: the rule-group toggles and the two budgets. Spelled
 /// out field by field — earlier revisions hashed `format!("{config:?}")`,
-/// so any `Debug`-visible but semantically neutral addition (such as
-/// [`AnalysisConfig::saturation`]) silently changed cache identity and
-/// spuriously invalidated every entry.
+/// so any `Debug`-visible but semantically neutral addition silently
+/// changed cache identity and spuriously invalidated every entry.
 fn semantic_fingerprint(config: &AnalysisConfig) -> (u64, u64) {
     let r = &config.rules;
     let text = format!(
@@ -167,13 +185,8 @@ pub fn analyze_with_config(
     let prog = NProgram::unfold_with_limit(schema, caps, config.node_limit)?;
     let occs = occurrences(&prog, &req.target);
     let plan = DemandPlan::build(&prog, [(req, occs.as_slice())]);
-    let closure = Closure::compute_demand_saturation(
-        &prog,
-        &config.rules,
-        config.term_limit,
-        &plan,
-        config.saturation,
-    )?;
+    let closure =
+        Closure::compute_with(&prog, &config.closure_options(ProofMode::Off, Some(&plan)))?;
     Ok(check_with_occurrences(&prog, &closure, req, &occs))
 }
 
@@ -193,13 +206,7 @@ pub fn analyze_full(
     let prog = NProgram::unfold_with_limit(schema, caps, config.node_limit)?;
     // Membership-only closure: verdicts never read derivations, so the
     // proof map would be pure allocation overhead here.
-    let closure = Closure::compute_with_saturation(
-        &prog,
-        &config.rules,
-        config.term_limit,
-        ProofMode::Off,
-        config.saturation,
-    )?;
+    let closure = Closure::compute_with(&prog, &config.closure_options(ProofMode::Off, None))?;
     Ok(check_against(&prog, &closure, req))
 }
 
@@ -249,13 +256,7 @@ pub fn analyze_with_stats(
         let occs = occurrences(&prog, &req.target);
         let (closure, cstats) = stats.phases.time("closure", || {
             let plan = DemandPlan::build(&prog, [(req, occs.as_slice())]);
-            Closure::compute_demand_with_stats_saturation(
-                &prog,
-                &config.rules,
-                config.term_limit,
-                &plan,
-                config.saturation,
-            )
+            Closure::compute_with_stats(&prog, &config.closure_options(ProofMode::Off, Some(&plan)))
         });
         stats.closure = cstats;
         let closure = closure?;
@@ -463,24 +464,6 @@ fn cap_witness<C: CapabilityView>(closure: &C, e: ExprId, cap: Cap) -> Option<Te
     }
 }
 
-/// Group-scheduling policy for the batch worker pool.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BatchSchedule {
-    /// Static partitioning: each worker owns one contiguous chunk of the
-    /// group list and never looks at anyone else's. A skewed batch (one
-    /// giant group next to thousands of tiny ones) serializes on whichever
-    /// worker drew the giant chunk — kept as the baseline the `population`
-    /// bench experiment measures the stealing speedup against.
-    Fixed,
-    /// Work stealing (the default): workers start from the same contiguous
-    /// chunks, held in per-worker deques, but an idle worker steals the
-    /// back half of the first non-empty victim deque it finds instead of
-    /// going idle. Output is unaffected — results are written into slots
-    /// indexed by group, so scheduling order never shows.
-    #[default]
-    WorkStealing,
-}
-
 /// Options for [`analyze_batch`].
 #[derive(Clone, Copy, Debug)]
 pub struct BatchOptions {
@@ -489,10 +472,6 @@ pub struct BatchOptions {
     /// 1 when the platform cannot say); `1` runs serially on the calling
     /// thread; larger values are clamped to the group count.
     pub jobs: usize,
-    /// How groups are distributed across workers. Never affects the output
-    /// (verdicts are byte-identical either way); [`BatchSchedule::Fixed`]
-    /// exists as the measured baseline for the work-stealing speedup.
-    pub schedule: BatchSchedule,
     /// Proof mode for the shared closures. [`ProofMode::Full`] is only
     /// needed when something will print derivations from the kept
     /// artifacts (the CLI `--explain` path).
@@ -515,7 +494,6 @@ impl Default for BatchOptions {
     fn default() -> BatchOptions {
         BatchOptions {
             jobs: 1,
-            schedule: BatchSchedule::WorkStealing,
             proofs: ProofMode::Off,
             keep_artifacts: false,
             collect_stats: false,
@@ -560,7 +538,7 @@ pub struct BatchOutcome {
     /// clamping to the group count).
     pub jobs_used: usize,
     /// Steal operations performed by the work-stealing pool: 0 for serial
-    /// runs and for [`BatchSchedule::Fixed`].
+    /// runs.
     pub steals: u64,
     /// `(len, capacity)` of the [`ClosureCache`] after this batch, when one
     /// was passed to [`analyze_batch_cached`]; `None` for uncached runs.
@@ -993,12 +971,9 @@ fn demand_shared_cached(
             .collect();
         DemandPlan::build(&prog, pairs.iter().map(|(r, o)| (*r, o.as_slice())))
     };
-    let closure = Arc::new(Closure::compute_demand_saturation(
+    let closure = Arc::new(Closure::compute_with(
         &prog,
-        &config.rules,
-        config.term_limit,
-        &plan,
-        config.saturation,
+        &config.closure_options(ProofMode::Off, Some(&plan)),
     )?);
     let drained = !closure.early_exited();
     cache.store(
@@ -1052,8 +1027,8 @@ impl OccMemo {
 /// are therefore grouped by user in first-seen order; each group runs
 /// unfold → closure once and then the cheap per-requirement verdict check.
 /// Groups fan out across a hand-rolled `std::thread::scope` work-stealing
-/// pool ([`BatchOptions::jobs`] workers over per-worker deques — see
-/// [`BatchSchedule`]), so a policy file with many users saturates in
+/// pool ([`BatchOptions::jobs`] workers over per-worker deques), so a
+/// policy file with many users saturates in
 /// parallel even when group sizes are heavily skewed.
 ///
 /// Verdicts are identical to per-requirement [`analyze_with_config`] calls,
@@ -1175,7 +1150,7 @@ where
         }
         (vec![state], 0)
     } else {
-        run_pool(n_groups, jobs, opts.schedule, init, work)
+        run_pool(n_groups, jobs, init, work)
     };
     BatchRun {
         states,
@@ -1215,12 +1190,11 @@ pub fn effective_jobs(jobs: usize) -> usize {
 
 /// The batch worker pool. Spawns `jobs` scoped workers over group indexes
 /// `0..n_groups`, each seeded with a contiguous chunk of the index space in
-/// a per-worker deque. Under [`BatchSchedule::WorkStealing`], a worker
-/// whose deque drains steals the back half of the first non-empty victim
-/// deque it finds (scanning from its right neighbour) instead of exiting —
-/// so one giant group no longer strands the rest of a skewed batch on a
-/// single worker. Under [`BatchSchedule::Fixed`] it exits as soon as its
-/// own chunk drains.
+/// a per-worker deque. A worker whose deque drains steals the back half of
+/// the first non-empty victim deque it finds (scanning from its right
+/// neighbour) instead of exiting — so one giant group does not strand the
+/// rest of a skewed batch on a single worker. Results are written into
+/// slots indexed by group, so scheduling order never reaches the output.
 ///
 /// Every group index is processed exactly once: indexes only ever move
 /// between deques under a victim's lock, and a worker drains its own deque
@@ -1228,13 +1202,7 @@ pub fn effective_jobs(jobs: usize) -> usize {
 /// `work` → returned at join), which is how the streaming path folds
 /// per-worker [`ClosureStats`] without a shared lock. Returns the worker
 /// states in worker-index order plus the number of steals performed.
-fn run_pool<S, I, W>(
-    n_groups: usize,
-    jobs: usize,
-    schedule: BatchSchedule,
-    init: I,
-    work: W,
-) -> (Vec<S>, u64)
+fn run_pool<S, I, W>(n_groups: usize, jobs: usize, init: I, work: W) -> (Vec<S>, u64)
 where
     S: Send,
     I: Fn(usize) -> S + Sync,
@@ -1259,9 +1227,6 @@ where
                         if let Some(gi) = lock(w).pop_front() {
                             work(&mut state, gi);
                             continue;
-                        }
-                        if schedule == BatchSchedule::Fixed {
-                            break;
                         }
                         let mut stolen = VecDeque::new();
                         for off in 1..jobs {
@@ -1303,9 +1268,9 @@ pub struct GroupRecord {
     /// Index of the group in first-seen user order.
     pub group_index: usize,
     /// Index of the pool worker that analyzed this group (0 on the serial
-    /// path). Under [`BatchSchedule::WorkStealing`] this is the worker that
-    /// *executed* the group, which may differ from the worker whose chunk
-    /// it was seeded into — the trace of how the pool balanced the batch.
+    /// path): the worker that *executed* the group, which may differ from
+    /// the worker whose chunk it was seeded into — the trace of how the
+    /// pool balanced the batch.
     pub worker: usize,
     /// The user whose capability list this group analyzed.
     pub user: UserName,
@@ -1536,12 +1501,9 @@ fn run_group(
                         &prog,
                         pairs.iter().map(|(i, o)| (&reqs[*i], o.as_slice())),
                     );
-                    Closure::compute_demand_with_stats_saturation(
+                    Closure::compute_with_stats(
                         &prog,
-                        &config.rules,
-                        config.term_limit,
-                        &plan,
-                        config.saturation,
+                        &config.closure_options(ProofMode::Off, Some(&plan)),
                     )
                 });
                 group.stats.closure = cstats;
@@ -1552,12 +1514,9 @@ fn run_group(
                         &prog,
                         pairs.iter().map(|(i, o)| (&reqs[*i], o.as_slice())),
                     );
-                    Closure::compute_demand_saturation(
+                    Closure::compute_with(
                         &prog,
-                        &config.rules,
-                        config.term_limit,
-                        &plan,
-                        config.saturation,
+                        &config.closure_options(ProofMode::Off, Some(&plan)),
                     )
                 })?
             };
@@ -1572,25 +1531,13 @@ fn run_group(
         group.stats.program_nodes = prog.len() as u64;
         let closure = if opts.collect_stats {
             let (c, cstats) = group.stats.phases.time("closure", || {
-                Closure::compute_with_stats_saturation(
-                    &prog,
-                    &config.rules,
-                    config.term_limit,
-                    opts.proofs,
-                    config.saturation,
-                )
+                Closure::compute_with_stats(&prog, &config.closure_options(opts.proofs, None))
             });
             group.stats.closure = cstats;
             c?
         } else {
             group.stats.phases.time("closure", || {
-                Closure::compute_with_saturation(
-                    &prog,
-                    &config.rules,
-                    config.term_limit,
-                    opts.proofs,
-                    config.saturation,
-                )
+                Closure::compute_with(&prog, &config.closure_options(opts.proofs, None))
             })?
         };
         Ok(SharedArtifacts::Owned(Box::new((prog, closure))))
@@ -1895,7 +1842,6 @@ mod tests {
         let reqs = batch_reqs();
         let opts = BatchOptions {
             jobs: 2,
-            schedule: BatchSchedule::WorkStealing,
             proofs: ProofMode::Full,
             keep_artifacts: true,
             collect_stats: true,
@@ -2143,40 +2089,21 @@ mod tests {
     }
 
     #[test]
-    fn saturation_mode_toggle_keeps_cache_identity() {
-        // Regression: `config_fp` once hashed the whole `Debug` rendering
-        // of `AnalysisConfig`, so any semantically neutral knob — every
-        // [`SaturationMode`] computes an identical closure — changed cache
-        // identity and spuriously invalidated entries.
+    fn budget_changes_miss_the_cache() {
+        // The term budget can change closure contents, so it is part of
+        // the cache identity.
         let cache = ClosureCache::new(8);
         let s = schema();
         let opts = BatchOptions::default();
         let r = [parse_requirement("(clerk, r_salary(x) : ti)").unwrap()];
-        let scalar = AnalysisConfig {
-            saturation: SaturationMode::SemiNaive,
-            ..AnalysisConfig::default()
-        };
-        let first = analyze_batch_cached(&s, &r, &scalar, &opts, Some(&cache));
-        assert_eq!(cache.stats().misses, 1, "cold miss saturates once");
-        let chunked = AnalysisConfig {
-            saturation: SaturationMode::Chunked,
-            ..AnalysisConfig::default()
-        };
-        let second = analyze_batch_cached(&s, &r, &chunked, &opts, Some(&cache));
-        let stats = cache.stats();
-        assert_eq!(
-            (stats.hits, stats.misses),
-            (1, 1),
-            "a saturation-mode toggle must hit the cached closure"
-        );
-        assert_eq!(first.verdicts, second.verdicts);
-        // A field that can change closure contents still misses.
+        analyze_batch_cached(&s, &r, &AnalysisConfig::default(), &opts, Some(&cache));
         let tighter = AnalysisConfig {
             term_limit: DEFAULT_TERM_LIMIT - 1,
             ..AnalysisConfig::default()
         };
         analyze_batch_cached(&s, &r, &tighter, &opts, Some(&cache));
-        assert_eq!(cache.stats().misses, 2, "budget changes are semantic");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (0, 2));
     }
 
     #[test]
@@ -2199,27 +2126,21 @@ mod tests {
     }
 
     #[test]
-    fn fixed_and_stealing_schedules_agree() {
+    fn pooled_batches_agree_with_per_requirement_analysis() {
         let s = schema();
         let reqs = batch_reqs();
         let expected: Vec<_> = reqs.iter().map(|r| analyze(&s, r)).collect();
-        for schedule in [BatchSchedule::Fixed, BatchSchedule::WorkStealing] {
-            for jobs in [2, 3, 8] {
-                let out = analyze_batch(
-                    &s,
-                    &reqs,
-                    &AnalysisConfig::default(),
-                    &BatchOptions {
-                        jobs,
-                        schedule,
-                        ..BatchOptions::default()
-                    },
-                );
-                assert_eq!(out.verdicts, expected, "jobs={jobs} schedule={schedule:?}");
-                if schedule == BatchSchedule::Fixed {
-                    assert_eq!(out.steals, 0, "fixed partitioning never steals");
-                }
-            }
+        for jobs in [2, 3, 8] {
+            let out = analyze_batch(
+                &s,
+                &reqs,
+                &AnalysisConfig::default(),
+                &BatchOptions {
+                    jobs,
+                    ..BatchOptions::default()
+                },
+            );
+            assert_eq!(out.verdicts, expected, "jobs={jobs}");
         }
     }
 

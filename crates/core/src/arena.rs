@@ -1,13 +1,13 @@
 //! Bump-arena storage for the saturation data plane.
 //!
-//! The chunked saturation mode ([`crate::closure::SaturationMode::Chunked`])
-//! keeps every dense structure of one closure in a handful of contiguous
-//! allocations instead of a forest of scatter-allocated `Vec`s:
+//! The saturation engine ([`crate::closure`]) keeps every dense structure
+//! of one closure in a handful of contiguous allocations instead of a
+//! forest of scatter-allocated `Vec`s:
 //!
 //! * [`Bump`] — an index-based bump allocator. Allocations hand back a
 //!   [`Span`] (offset + length) instead of a pointer, so the pool can grow
 //!   (amortised, like a `Vec`) without invalidating outstanding handles and
-//!   without any `unsafe`. All of a [`DeltaState`]'s bit-grid mirrors — the
+//!   without any `unsafe`. All of a run's dense bit-grid mirrors — the
 //!   `ti`/`pi`/`eq`/`pi*` capability tables the dedup probe reads on every
 //!   derive call — live in **one** `Bump<u64>`, so the rows a saturation
 //!   touches back-to-back are adjacent in memory rather than wherever the

@@ -827,11 +827,12 @@ mod tests {
         let schema = parse_schema(STOCKBROKER).unwrap();
         oodb_lang::check_schema(&schema).unwrap();
         let prog = NProgram::unfold(&schema, schema.user_str("clerk").unwrap()).unwrap();
-        let c = Closure::compute_with_mode(
+        let c = Closure::compute_with(
             &prog,
-            &RuleConfig::default(),
-            crate::closure::DEFAULT_TERM_LIMIT,
-            ProofMode::Off,
+            &crate::closure::ClosureOptions {
+                proofs: ProofMode::Off,
+                ..Default::default()
+            },
         )
         .unwrap();
         assert_eq!(

@@ -8,8 +8,9 @@
 //! * **Grant** is the easy direction — the inference system is monotone, so
 //!   every old term survives (translated into the new id space) and the new
 //!   function's terms are reached by ordinary propagation from its axioms.
-//!   [`Closure::saturate_from`] absorbs the survivors, re-seeds the axioms
-//!   (old ones dedup to no-ops), and drains to fixpoint.
+//!   A warm restart (`Closure::saturate_from`) absorbs the survivors,
+//!   re-seeds the axioms (old ones dedup to no-ops), and drains to
+//!   fixpoint.
 //! * **Revoke** needs *retraction*. We reuse the recorded [`Derivation`]s —
 //!   the same proof DAG [`Closure::certify`](crate::checker) validates — for
 //!   a DRed-style over-delete/re-derive pass:
@@ -135,13 +136,7 @@ impl IncrementalUser {
             .cloned()
             .ok_or_else(|| AnalysisError::UnknownUser(user.to_string()))?;
         let prog = NProgram::unfold_with_limit(schema, &caps, config.node_limit)?;
-        let closure = Closure::compute_with_saturation(
-            &prog,
-            &config.rules,
-            config.term_limit,
-            ProofMode::Full,
-            config.saturation,
-        )?;
+        let closure = Closure::compute_with(&prog, &config.closure_options(ProofMode::Full, None))?;
         Ok(IncrementalUser {
             user: user.clone(),
             caps,
@@ -210,7 +205,6 @@ impl IncrementalUser {
             &prog,
             &self.config.rules,
             self.config.term_limit,
-            self.config.saturation,
             survivors,
             &[],
         )?;
@@ -292,7 +286,6 @@ impl IncrementalUser {
             &prog,
             &self.config.rules,
             self.config.term_limit,
-            self.config.saturation,
             survivors,
             &frontier,
         )?;

@@ -673,11 +673,12 @@ mod tests {
         let schema = parse_schema(STOCKBROKER).unwrap();
         oodb_lang::check_schema(&schema).unwrap();
         let prog = NProgram::unfold(&schema, schema.user_str("clerk").unwrap()).unwrap();
-        let closure = Closure::compute_with_mode(
+        let closure = Closure::compute_with(
             &prog,
-            &crate::rules::RuleConfig::default(),
-            crate::closure::DEFAULT_TERM_LIMIT,
-            ProofMode::Off,
+            &crate::closure::ClosureOptions {
+                proofs: ProofMode::Off,
+                ..Default::default()
+            },
         )
         .unwrap();
         let sink = closure.ti_witness(5).unwrap();

@@ -8,6 +8,8 @@
 //! terms whose mentioned expressions all lie inside the slice, in the same
 //! worklist order — so verdicts, witness terms (first derivation origins)
 //! and even `TermLimit` aborts must be byte-identical to full saturation.
+//! The engine-level checks take the full side from the independent
+//! reference engine ([`RefClosure`]), not from the engine under test.
 
 use proptest::prelude::*;
 use secflow::algorithm::{
@@ -15,29 +17,42 @@ use secflow::algorithm::{
     ClosureCache,
 };
 use secflow::algorithm::{analyze_batch_cached, occurrences};
-use secflow::closure::{Closure, SaturationMode, DEFAULT_TERM_LIMIT};
+use secflow::closure::{Closure, ClosureOptions, ProofMode};
 use secflow::demand::DemandPlan;
+use secflow::reference::RefClosure;
 use secflow::term::Term;
 use secflow::unfold::{ExprId, NProgram};
 use secflow_workloads::random::{random_case, RandomSpec};
 use secflow_workloads::scale;
 
-/// The demand engine on one plan vs. the full engine on the same program:
-/// the demand closure must contain exactly the slice-restricted subset of
-/// the full closure, with identical per-expression witnesses inside the
-/// slice.
-fn assert_demand_is_sliced_full(prog: &NProgram, plan: &DemandPlan, label: &str) {
-    let full = Closure::compute(prog).unwrap_or_else(|e| panic!("{label}: full engine: {e}"));
-    // The full run records proofs: certify them. The demand run below is
-    // proof-free by design, so certification must refuse it (checked once
-    // after it is computed).
-    full.certify(prog, &secflow::rules::RuleConfig::default())
+/// The reference engine's full closure of `prog`, after certifying the
+/// engine's own proof-carrying full run of it.
+fn oracle(prog: &NProgram, label: &str) -> RefClosure {
+    Closure::compute(prog)
+        .unwrap_or_else(|e| panic!("{label}: full engine: {e}"))
+        .certify(prog, &secflow::rules::RuleConfig::default())
         .unwrap_or_else(|e| panic!("{label}: full closure fails certification: {e}"));
-    let demand = Closure::compute_demand(
+    RefClosure::compute(prog).unwrap_or_else(|e| panic!("{label}: reference: {e}"))
+}
+
+/// The demand engine on one plan vs. the reference engine's full closure
+/// of the same program: the demand closure must contain exactly the
+/// slice-restricted subset of the full closure, with identical
+/// per-expression witnesses inside the slice. The demand run is
+/// proof-free by design, so certification must refuse it.
+fn assert_demand_is_sliced_full(
+    prog: &NProgram,
+    full: &RefClosure,
+    plan: &DemandPlan,
+    label: &str,
+) {
+    let demand = Closure::compute_with(
         prog,
-        &secflow::rules::RuleConfig::default(),
-        secflow::closure::DEFAULT_TERM_LIMIT,
-        plan,
+        &ClosureOptions {
+            proofs: ProofMode::Off,
+            demand: Some(plan),
+            ..ClosureOptions::default()
+        },
     )
     .unwrap_or_else(|e| panic!("{label}: demand engine: {e}"));
     assert_eq!(
@@ -86,90 +101,6 @@ fn assert_demand_is_sliced_full(prog: &NProgram, plan: &DemandPlan, label: &str)
     }
 }
 
-/// The demand engine in every saturation mode on one plan: the delta
-/// bookkeeping must not change the sliced insertion sequence either, so
-/// the runs match in term sets, rounds, early-exit behaviour and
-/// witnesses — with the chunked engine tracking the scalar baseline in
-/// exact insertion order.
-fn assert_demand_modes_identical(prog: &NProgram, plan: &DemandPlan, label: &str) {
-    let cfg = secflow::rules::RuleConfig::default();
-    let naive = Closure::compute_demand_saturation(
-        prog,
-        &cfg,
-        DEFAULT_TERM_LIMIT,
-        plan,
-        SaturationMode::Naive,
-    )
-    .unwrap_or_else(|e| panic!("{label}: naive demand: {e}"));
-    let semi = Closure::compute_demand_saturation(
-        prog,
-        &cfg,
-        DEFAULT_TERM_LIMIT,
-        plan,
-        SaturationMode::SemiNaive,
-    )
-    .unwrap_or_else(|e| panic!("{label}: semi-naive demand: {e}"));
-    let chunked = Closure::compute_demand_saturation(
-        prog,
-        &cfg,
-        DEFAULT_TERM_LIMIT,
-        plan,
-        SaturationMode::Chunked,
-    )
-    .unwrap_or_else(|e| panic!("{label}: chunked demand: {e}"));
-    assert_eq!(
-        semi.iter().collect::<Vec<Term>>(),
-        chunked.iter().collect::<Vec<Term>>(),
-        "{label}: chunked demand insertion order diverges from the scalar baseline"
-    );
-    assert_eq!(
-        semi.rounds(),
-        chunked.rounds(),
-        "{label}: chunked demand rounds differ"
-    );
-    assert_eq!(
-        semi.early_exited(),
-        chunked.early_exited(),
-        "{label}: chunked early-exit behaviour differs"
-    );
-    for e in 1..=prog.len() as ExprId {
-        assert_eq!(
-            semi.ti_witness(e),
-            chunked.ti_witness(e),
-            "{label}: chunked ti witness differs at {e}"
-        );
-        assert_eq!(
-            semi.pi_witness(e),
-            chunked.pi_witness(e),
-            "{label}: chunked pi witness differs at {e}"
-        );
-    }
-    assert_eq!(naive.len(), semi.len(), "{label}: term counts differ");
-    assert_eq!(naive.rounds(), semi.rounds(), "{label}: rounds differ");
-    assert_eq!(
-        naive.early_exited(),
-        semi.early_exited(),
-        "{label}: early-exit behaviour differs"
-    );
-    let mut tn: Vec<Term> = naive.iter().collect();
-    let mut ts: Vec<Term> = semi.iter().collect();
-    tn.sort();
-    ts.sort();
-    assert_eq!(tn, ts, "{label}: demand closures differ");
-    for e in 1..=prog.len() as ExprId {
-        assert_eq!(
-            naive.ti_witness(e),
-            semi.ti_witness(e),
-            "{label}: ti witness differs at {e}"
-        );
-        assert_eq!(
-            naive.pi_witness(e),
-            semi.pi_witness(e),
-            "{label}: pi witness differs at {e}"
-        );
-    }
-}
-
 #[test]
 fn scale_families_verdicts_and_closures_identical() {
     let cases = [
@@ -187,8 +118,7 @@ fn scale_families_verdicts_and_closures_identical() {
         let caps = case.schema.user_str("u").unwrap();
         let prog = NProgram::unfold(&case.schema, caps).unwrap();
         let plan = DemandPlan::for_requirement(&prog, &case.requirement);
-        assert_demand_is_sliced_full(&prog, &plan, label);
-        assert_demand_modes_identical(&prog, &plan, label);
+        assert_demand_is_sliced_full(&prog, &oracle(&prog, label), &plan, label);
     }
 }
 
@@ -309,10 +239,11 @@ proptest! {
         let case = random_case(seed, &RandomSpec::default());
         let caps = case.schema.user_str(&case.user).unwrap();
         let prog = NProgram::unfold(&case.schema, caps).unwrap();
+        let full = oracle(&prog, &format!("seed {seed}"));
         for req in &case.requirements {
             let occs = occurrences(&prog, &req.target);
             let plan = DemandPlan::build(&prog, [(req, occs.as_slice())]);
-            assert_demand_is_sliced_full(&prog, &plan, &format!("seed {seed} req {req}"));
+            assert_demand_is_sliced_full(&prog, &full, &plan, &format!("seed {seed} req {req}"));
         }
     }
 

@@ -5,13 +5,15 @@
 //! hasher, and skips proof recording on `analyze`; the reference keeps the
 //! historical hash-map representation with SipHash and always-on proofs.
 //! Both are supposed to run the *same* deterministic traversal, so on every
-//! workload the closure term sets must be identical — not merely equal as
-//! sets of verdicts — and every `analyze` verdict (including witness terms
-//! inside violations) must match exactly.
+//! workload the closure term sets, rounds, witnesses and recorded proofs
+//! must be identical — not merely equal as sets of verdicts — and every
+//! `analyze` verdict (including witness terms inside violations) must
+//! match exactly. The engine's prefilters and dirty masks may only skip
+//! derive calls that would dedup; these checks are what hold them to it.
 
 use proptest::prelude::*;
 use secflow::algorithm::{analyze_with_config, AnalysisConfig};
-use secflow::closure::{Closure, ProofMode, SaturationMode, DEFAULT_TERM_LIMIT};
+use secflow::closure::{Closure, ClosureOptions, ProofMode};
 use secflow::reference::{analyze_ref, RefClosure};
 use secflow::rules::RuleConfig;
 use secflow::term::Term;
@@ -19,8 +21,9 @@ use secflow::unfold::{ExprId, NProgram};
 use secflow_workloads::random::{random_case, RandomSpec};
 use secflow_workloads::scale;
 
-/// Both engines on one unfolded program: identical term sets, rounds and
-/// per-occurrence witnesses.
+/// Both engines on one unfolded program: identical term sets, rounds,
+/// per-occurrence witnesses and per-term proofs — and the engine's proofs
+/// certify.
 fn assert_closures_identical(prog: &NProgram, label: &str) {
     let fast = Closure::compute(prog).unwrap_or_else(|e| panic!("{label}: fast engine: {e}"));
     let slow = RefClosure::compute(prog).unwrap_or_else(|e| panic!("{label}: reference: {e}"));
@@ -45,108 +48,54 @@ fn assert_closures_identical(prog: &NProgram, label: &str) {
         assert_eq!(fast.has_ta(e), slow.has_ta(e), "{label}: ta differs at {e}");
         assert_eq!(fast.has_pa(e), slow.has_pa(e), "{label}: pa differs at {e}");
     }
-}
-
-/// Naive full-sweep saturation vs the semi-naive delta engine vs the
-/// chunked-kernel engine on one program: the delta bookkeeping must not
-/// change the insertion sequence, so term sets, rounds, witnesses and
-/// proofs all match — and the chunked engine must track the scalar
-/// baseline in *exact insertion order*, not just as a set.
-fn assert_saturation_modes_identical(prog: &NProgram, label: &str) {
-    let cfg = RuleConfig::default();
-    let naive = Closure::compute_with_saturation(
-        prog,
-        &cfg,
-        DEFAULT_TERM_LIMIT,
-        ProofMode::Full,
-        SaturationMode::Naive,
-    )
-    .unwrap_or_else(|e| panic!("{label}: naive: {e}"));
-    let semi = Closure::compute_with_saturation(
-        prog,
-        &cfg,
-        DEFAULT_TERM_LIMIT,
-        ProofMode::Full,
-        SaturationMode::SemiNaive,
-    )
-    .unwrap_or_else(|e| panic!("{label}: semi-naive: {e}"));
-    let chunked = Closure::compute_with_saturation(
-        prog,
-        &cfg,
-        DEFAULT_TERM_LIMIT,
-        ProofMode::Full,
-        SaturationMode::Chunked,
-    )
-    .unwrap_or_else(|e| panic!("{label}: chunked: {e}"));
-    assert_eq!(
-        semi.iter().collect::<Vec<Term>>(),
-        chunked.iter().collect::<Vec<Term>>(),
-        "{label}: chunked insertion order diverges from the scalar baseline"
-    );
-    assert_eq!(
-        semi.rounds(),
-        chunked.rounds(),
-        "{label}: chunked rounds differ"
-    );
-    for e in 1..=prog.len() as ExprId {
+    for t in &tf {
         assert_eq!(
-            semi.ti_witness(e),
-            chunked.ti_witness(e),
-            "{label}: chunked ti witness differs at {e}"
-        );
-        assert_eq!(
-            semi.pi_witness(e),
-            chunked.pi_witness(e),
-            "{label}: chunked pi witness differs at {e}"
-        );
-    }
-    for t in semi.iter() {
-        assert_eq!(
-            semi.proof(&t),
-            chunked.proof(&t),
-            "{label}: chunked proof differs for {t}"
-        );
-    }
-    assert_eq!(naive.len(), semi.len(), "{label}: term counts differ");
-    assert_eq!(naive.rounds(), semi.rounds(), "{label}: rounds differ");
-    let mut tn: Vec<Term> = naive.iter().collect();
-    let mut ts: Vec<Term> = semi.iter().collect();
-    tn.sort();
-    ts.sort();
-    assert_eq!(tn, ts, "{label}: closure term sets differ");
-    for e in 1..=prog.len() as ExprId {
-        assert_eq!(
-            naive.ti_witness(e),
-            semi.ti_witness(e),
-            "{label}: ti witness differs at {e}"
-        );
-        assert_eq!(
-            naive.pi_witness(e),
-            semi.pi_witness(e),
-            "{label}: pi witness differs at {e}"
-        );
-    }
-    for t in naive.iter() {
-        assert_eq!(
-            naive.proof(&t),
-            semi.proof(&t),
+            fast.proof(t),
+            slow.proof(t),
             "{label}: proof differs for {t}"
         );
     }
-    // All runs recorded proofs, so all must certify: every derivation
-    // re-validates against the Table-2 schemas independently of the engine.
-    for (mode, c) in [
-        ("naive", &naive),
-        ("semi-naive", &semi),
-        ("chunked", &chunked),
-    ] {
-        let cert = c
-            .certify(prog, &cfg)
-            .unwrap_or_else(|e| panic!("{label}: {mode} closure fails certification: {e}"));
+    // Every derivation re-validates against the Table-2 schemas
+    // independently of either engine.
+    let cert = fast
+        .certify(prog, &RuleConfig::default())
+        .unwrap_or_else(|e| panic!("{label}: closure fails certification: {e}"));
+    assert_eq!(
+        cert.terms_checked,
+        fast.len(),
+        "{label}: certificate covers every term"
+    );
+}
+
+/// Proof recording must not move the traversal: a membership-only run
+/// inserts exactly the proof-carrying run's terms in the same order, with
+/// the same rounds and witnesses.
+fn assert_proof_modes_identical(prog: &NProgram, label: &str) {
+    let full = Closure::compute(prog).unwrap_or_else(|e| panic!("{label}: proofs on: {e}"));
+    let off = Closure::compute_with(
+        prog,
+        &ClosureOptions {
+            proofs: ProofMode::Off,
+            ..ClosureOptions::default()
+        },
+    )
+    .unwrap_or_else(|e| panic!("{label}: proofs off: {e}"));
+    assert_eq!(
+        full.iter().collect::<Vec<Term>>(),
+        off.iter().collect::<Vec<Term>>(),
+        "{label}: proof mode changed the insertion order"
+    );
+    assert_eq!(full.rounds(), off.rounds(), "{label}: rounds differ");
+    for e in 1..=prog.len() as ExprId {
         assert_eq!(
-            cert.terms_checked,
-            c.len(),
-            "{label}: {mode} certificate covers every term"
+            full.ti_witness(e),
+            off.ti_witness(e),
+            "{label}: ti witness differs at {e}"
+        );
+        assert_eq!(
+            full.pi_witness(e),
+            off.pi_witness(e),
+            "{label}: pi witness differs at {e}"
         );
     }
 }
@@ -189,7 +138,7 @@ fn scale_families_are_engine_identical() {
         let caps = case.schema.user_str("u").unwrap();
         let prog = NProgram::unfold(&case.schema, caps).unwrap();
         assert_closures_identical(&prog, label);
-        assert_saturation_modes_identical(&prog, label);
+        assert_proof_modes_identical(&prog, label);
         // End-to-end verdicts agree, witnesses included (Verdict: PartialEq).
         let fast = analyze_with_config(&case.schema, &case.requirement, &config);
         let slow = analyze_ref(&case.schema, &case.requirement, &config);
@@ -201,7 +150,8 @@ fn scale_families_are_engine_identical() {
 fn refiring_heavy_families_are_mode_identical() {
     // The two saturation-experiment families, at sizes past the smoke
     // tier: wide equality fan-out and dense `=`-cliques with multi-origin
-    // joint constraints — the workloads the delta engine reworks hardest.
+    // joint constraints — the workloads the prefilters skip the most
+    // derive calls on. Identical to the oracle, and across proof modes.
     for (label, case) in [
         ("wide_grants", scale::wide_grants(24)),
         ("dense_equalities", scale::dense_equalities(6)),
@@ -209,7 +159,7 @@ fn refiring_heavy_families_are_mode_identical() {
         let caps = case.schema.user_str("u").unwrap();
         let prog = NProgram::unfold(&case.schema, caps).unwrap();
         assert_closures_identical(&prog, label);
-        assert_saturation_modes_identical(&prog, label);
+        assert_proof_modes_identical(&prog, label);
     }
 }
 
@@ -242,15 +192,17 @@ proptest! {
 }
 
 proptest! {
-    // Each case saturates three engines over a shared-subexpression clique;
-    // the instances grow fast, so fewer, smaller cases than the random
-    // corpus above.
+    // Each case saturates the engine twice and the reference once over a
+    // shared-subexpression clique; the instances grow fast, so fewer,
+    // smaller cases than the random corpus above.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Shared-subexpression corpus: one subexpression repeated across
     /// occurrences and functions, shrinkable over repetition count, fan-out
-    /// and the write grant. Both the reference engine and the naive
-    /// saturation mode must agree with the semi-naive default.
+    /// and the write grant — the case where delta bookkeeping diverges from
+    /// full re-firing if a dirty mark is dropped or double-cleared. The
+    /// engine must agree with the reference engine, proofs included, in
+    /// both proof modes.
     #[test]
     fn shared_subexpr_cases_are_engine_and_mode_identical(
         fns in 1usize..3,
@@ -262,6 +214,6 @@ proptest! {
         let prog = NProgram::unfold(&schema, caps).unwrap();
         let label = format!("fns={fns} reuse={reuse} grant={grant_write}");
         assert_closures_identical(&prog, &label);
-        assert_saturation_modes_identical(&prog, &label);
+        assert_proof_modes_identical(&prog, &label);
     }
 }
