@@ -575,91 +575,17 @@ pub fn load_str(src: &str) -> Result<Schema, String> {
     Ok(schema)
 }
 
-/// Run a command against policy *text*; returns (report, exit code).
+/// Run a command against policy *text*; returns (report, exit code) — the
+/// uninstrumented [`run_on_source_with_obs`].
 pub fn run_on_source(cmd: &Command, src: &str) -> (String, i32) {
-    match cmd {
-        Command::Help => (USAGE.to_owned(), exit::OK),
-        Command::Fmt { .. } => match load_str(src) {
-            Ok(schema) => (schema.to_string(), exit::OK),
-            Err(e) => (format!("error: {e}\n"), exit::INPUT),
-        },
-        Command::Check {
-            explain,
-            jobs,
-            stream,
-            ndjson,
-            full_saturation,
-            certify,
-            ..
-        } => match load_str(src) {
-            Ok(schema) => {
-                if *stream {
-                    check_report_stream(&schema, *jobs, *full_saturation, *ndjson, None)
-                } else {
-                    check_report(&schema, *explain, *jobs, *full_saturation, *certify)
-                }
-            }
-            Err(e) => (format!("error: {e}\n"), exit::INPUT),
-        },
-        Command::Audit {
-            file,
-            format,
-            severity,
-            mode,
-            max_depth,
-            max_paths,
-            jobs,
-        } => match load_str(src) {
-            Ok(schema) => {
-                let opts = AuditOptions {
-                    policy: file.clone(),
-                    format: *format,
-                    severity: *severity,
-                    provenance: ProvenanceOptions {
-                        max_depth: *max_depth,
-                        max_paths: *max_paths,
-                        mode: *mode,
-                    },
-                };
-                let outcome = audit_batch(&schema, *jobs);
-                render_audit(&schema, &outcome, &opts)
-            }
-            Err(e) => (format!("error: {e}\n"), exit::INPUT),
-        },
-        Command::Unfold { user, .. } => match load_str(src) {
-            Ok(schema) => unfold_report(&schema, user),
-            Err(e) => (format!("error: {e}\n"), exit::INPUT),
-        },
-        Command::Attack { steps, .. } => match load_str(src) {
-            Ok(schema) => attack_report(&schema, *steps),
-            Err(e) => (format!("error: {e}\n"), exit::INPUT),
-        },
-        Command::Fix { .. } => match load_str(src) {
-            Ok(schema) => fix_report(&schema),
-            Err(e) => (format!("error: {e}\n"), exit::INPUT),
-        },
-        Command::Serve { .. } => match load_str(src) {
-            Ok(schema) => serve_stdin(&schema),
-            Err(e) => (format!("error: {e}\n"), exit::INPUT),
-        },
-    }
+    execute(cmd, src, None)
 }
 
-/// Run a command end-to-end (file IO included); returns (report, exit code).
+/// Run a command end-to-end (file IO included); returns (report, exit code)
+/// — the uninstrumented [`run_with_obs`].
 pub fn run(cmd: &Command) -> (String, i32) {
-    match cmd {
-        Command::Help => (USAGE.to_owned(), 0),
-        Command::Check { file, .. }
-        | Command::Audit { file, .. }
-        | Command::Unfold { file, .. }
-        | Command::Attack { file, .. }
-        | Command::Fix { file }
-        | Command::Fmt { file }
-        | Command::Serve { file } => match std::fs::read_to_string(file) {
-            Ok(src) => run_on_source(cmd, &src),
-            Err(e) => (format!("error: cannot read `{file}`: {e}\n"), exit::INPUT),
-        },
-    }
+    let out = run_with_obs(cmd, &ObsOptions::default());
+    (out.stdout, out.code)
 }
 
 /// Output of an instrumented run: the report (stdout), the observability
@@ -824,31 +750,24 @@ impl Collected {
 /// [`CliOutput::trace_output`] carries the trace document destined for the
 /// `--trace=FILE` target.
 pub fn run_on_source_with_obs(cmd: &Command, src: &str, obs: &ObsOptions) -> CliOutput {
-    if obs.is_off() {
-        let (stdout, code) = run_on_source(cmd, src);
-        return CliOutput {
-            stdout,
-            code,
-            ..CliOutput::default()
-        };
-    }
-    if matches!(cmd, Command::Help) {
-        return CliOutput {
-            stdout: USAGE.to_owned(),
-            ..CliOutput::default()
-        };
-    }
-    let mut col = Collected::default();
-    let (stdout, code) = instrumented(cmd, src, &mut col);
-    let mut stderr = String::new();
-    let mut trace_output = None;
+    // Help loads no policy, so there is nothing to observe.
+    let mut col = (!obs.is_off() && *cmd != Command::Help).then(Collected::default);
+    let (stdout, code) = execute(cmd, src, col.as_mut());
+    let mut out = CliOutput {
+        stdout,
+        code,
+        ..CliOutput::default()
+    };
+    let Some(col) = col else {
+        return out;
+    };
     if let Some(trace) = &obs.trace {
         let encoded = col.build_trace().encode(trace.format);
         if trace.file.is_some() {
-            trace_output = Some(encoded);
+            out.trace_output = Some(encoded);
         } else if obs.metrics.is_none() {
             // Bare --trace without --metrics: stderr is free, use it.
-            stderr.push_str(&encoded);
+            out.stderr.push_str(&encoded);
         }
         // With --metrics on and no file target the events are dropped:
         // the two streams must never interleave on stderr.
@@ -858,64 +777,81 @@ pub fn run_on_source_with_obs(cmd: &Command, src: &str, obs: &ObsOptions) -> Cli
         col.record_to(&mut rec);
         let report = rec.into_report();
         match format {
-            MetricsFormat::Text => stderr.push_str(&report.render_table()),
-            MetricsFormat::Json => stderr.push_str(&report.to_json().pretty()),
+            MetricsFormat::Text => out.stderr.push_str(&report.render_table()),
+            MetricsFormat::Json => out.stderr.push_str(&report.to_json().pretty()),
         }
     }
-    CliOutput {
-        stdout,
-        stderr,
-        trace_output,
-        code,
-    }
+    out
 }
 
 /// Run a command end-to-end with observability: file IO included, and the
 /// `--trace=FILE` document written to its target.
 pub fn run_with_obs(cmd: &Command, obs: &ObsOptions) -> CliOutput {
-    match cmd {
-        Command::Help => CliOutput {
-            stdout: USAGE.to_owned(),
-            ..CliOutput::default()
-        },
-        Command::Check { file, .. }
-        | Command::Audit { file, .. }
-        | Command::Unfold { file, .. }
-        | Command::Attack { file, .. }
-        | Command::Fix { file }
-        | Command::Fmt { file }
-        | Command::Serve { file } => match std::fs::read_to_string(file) {
-            Ok(src) => {
-                let mut out = run_on_source_with_obs(cmd, &src, obs);
-                if let (Some(trace), Some(doc)) = (&obs.trace, &out.trace_output) {
-                    if let Some(path) = &trace.file {
-                        if let Err(e) = std::fs::write(path, doc) {
-                            let _ =
-                                writeln!(out.stderr, "error: cannot write trace to `{path}`: {e}");
-                        }
-                    }
+    let src = match cmd.file() {
+        None => String::new(),
+        Some(file) => match std::fs::read_to_string(file) {
+            Ok(src) => src,
+            Err(e) => {
+                return CliOutput {
+                    stdout: format!("error: cannot read `{file}`: {e}\n"),
+                    code: exit::INPUT,
+                    ..CliOutput::default()
                 }
-                out
             }
-            Err(e) => CliOutput {
-                stdout: format!("error: cannot read `{file}`: {e}\n"),
-                code: exit::INPUT,
-                ..CliOutput::default()
-            },
         },
+    };
+    let mut out = run_on_source_with_obs(cmd, &src, obs);
+    let target = obs.trace.as_ref().and_then(|t| t.file.as_ref());
+    if let (Some(path), Some(doc)) = (target, &out.trace_output) {
+        if let Err(e) = std::fs::write(path, doc) {
+            let _ = writeln!(out.stderr, "error: cannot write trace to `{path}`: {e}");
+        }
+    }
+    out
+}
+
+impl Command {
+    /// The policy file the command reads; `None` for [`Command::Help`].
+    fn file(&self) -> Option<&str> {
+        match self {
+            Command::Help => None,
+            Command::Check { file, .. }
+            | Command::Audit { file, .. }
+            | Command::Unfold { file, .. }
+            | Command::Attack { file, .. }
+            | Command::Fix { file }
+            | Command::Fmt { file }
+            | Command::Serve { file } => Some(file),
+        }
     }
 }
 
-fn instrumented(cmd: &Command, src: &str, col: &mut Collected) -> (String, i32) {
-    let schema = match col.phases.time("parse", || parse_schema(src)) {
+/// Run `f`, timed as `phase` when the run is instrumented.
+fn timed<T>(col: Option<&mut Collected>, phase: &str, f: impl FnOnce() -> T) -> T {
+    match col {
+        Some(col) => col.phases.time(phase, f),
+        None => f(),
+    }
+}
+
+/// The one command dispatcher behind every entry point: load the policy,
+/// then run the command. With `col` the run is instrumented — parse and
+/// typecheck are timed, the batch commands collect per-group stats (which
+/// bypasses the closure cache), and every other command is timed as one
+/// phase. stdout and the exit code never depend on `col`.
+fn execute(cmd: &Command, src: &str, mut col: Option<&mut Collected>) -> (String, i32) {
+    if *cmd == Command::Help {
+        return (USAGE.to_owned(), exit::OK);
+    }
+    let schema = match timed(col.as_deref_mut(), "parse", || parse_schema(src)) {
         Ok(s) => s,
         Err(e) => return (format!("error: {e}\n"), exit::INPUT),
     };
-    if let Err(e) = col.phases.time("typecheck", || check_schema(&schema)) {
+    if let Err(e) = timed(col.as_deref_mut(), "typecheck", || check_schema(&schema)) {
         return (format!("error: {e}\n"), exit::INPUT);
     }
     match cmd {
-        Command::Help => (USAGE.to_owned(), exit::OK),
+        Command::Help => unreachable!("help is answered before loading"),
         Command::Fmt { .. } => (schema.to_string(), exit::OK),
         Command::Check {
             explain,
@@ -927,9 +863,9 @@ fn instrumented(cmd: &Command, src: &str, col: &mut Collected) -> (String, i32) 
             ..
         } => {
             if *stream {
-                check_report_stream(&schema, *jobs, *full_saturation, *ndjson, Some(col))
+                check_report_stream(&schema, *jobs, *full_saturation, *ndjson, col)
             } else {
-                check_report_instrumented(&schema, *explain, *jobs, *full_saturation, *certify, col)
+                check_report(&schema, *explain, *jobs, *full_saturation, *certify, col)
             }
         }
         Command::Audit {
@@ -952,16 +888,15 @@ fn instrumented(cmd: &Command, src: &str, col: &mut Collected) -> (String, i32) 
                 },
             };
             let outcome = audit_batch(&schema, *jobs);
-            collect_batch(&schema, &outcome, col);
-            col.phases
-                .time("audit", || render_audit(&schema, &outcome, &opts))
+            if let Some(col) = col.as_deref_mut() {
+                collect_batch(&schema, &outcome, col);
+            }
+            timed(col, "audit", || render_audit(&schema, &outcome, &opts))
         }
-        Command::Unfold { user, .. } => col.phases.time("unfold", || unfold_report(&schema, user)),
-        Command::Attack { steps, .. } => {
-            col.phases.time("attack", || attack_report(&schema, *steps))
-        }
-        Command::Fix { .. } => col.phases.time("fix", || fix_report(&schema)),
-        Command::Serve { .. } => col.phases.time("serve", || serve_stdin(&schema)),
+        Command::Unfold { user, .. } => timed(col, "unfold", || unfold_report(&schema, user)),
+        Command::Attack { steps, .. } => timed(col, "attack", || attack_report(&schema, *steps)),
+        Command::Fix { .. } => timed(col, "fix", || fix_report(&schema)),
+        Command::Serve { .. } => timed(col, "serve", || serve_stdin(&schema)),
     }
 }
 
@@ -1061,40 +996,42 @@ fn check_batch(
     )
 }
 
-/// The `--certify` pass: run the independent proof checker over every
-/// group's kept closure. Appends one summary line on success; on the first
-/// rejection, reports the structured [`secflow::CheckError`] and returns
-/// [`exit::CERTIFY`]. Returns the certificates so the instrumented path can
-/// absorb the per-rule check counters into its metrics.
-fn certify_outcome(
-    outcome: &BatchOutcome,
-    out: &mut String,
-) -> Result<Vec<secflow::Certificate>, i32> {
-    let mut certs = Vec::with_capacity(outcome.groups.len());
-    let mut terms = 0usize;
-    for g in &outcome.groups {
-        let Some((prog, closure)) = g.artifacts.as_ref() else {
-            // The shared phases failed; per-requirement errors were already
-            // reported above, so there is nothing to certify here.
-            continue;
-        };
-        match closure.certify(prog, &secflow::rules::RuleConfig::default()) {
-            Ok(cert) => {
-                terms += cert.terms_checked;
-                certs.push(cert);
-            }
-            Err(e) => {
-                let _ = writeln!(out, "certification FAILED for user `{}`: {e}", g.user);
-                return Err(exit::CERTIFY);
-            }
-        }
+/// What the certify pass re-validated: one certificate per kept closure.
+/// Displays as the `certified: …` summary line.
+struct Certified {
+    certs: Vec<secflow::Certificate>,
+    derivations: usize,
+}
+
+impl std::fmt::Display for Certified {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "certified: {} derivation(s) re-validated across {} closure(s)",
+            self.derivations,
+            self.certs.len()
+        )
     }
-    let _ = writeln!(
-        out,
-        "certified: {terms} derivation(s) re-validated across {} closure(s)",
-        certs.len()
-    );
-    Ok(certs)
+}
+
+/// The certify pass shared by `check --certify` and `audit`: run the
+/// independent proof checker over every group's kept closure. Groups whose
+/// shared phases failed kept none and are skipped (their errors are
+/// reported per requirement). On the first rejection, returns the
+/// `certification FAILED for user …` line.
+fn certify_outcome(outcome: &BatchOutcome) -> Result<Certified, String> {
+    let certs = outcome
+        .groups
+        .iter()
+        .filter_map(|g| Some((g, g.artifacts.as_ref()?)))
+        .map(|(g, (prog, closure))| {
+            closure
+                .certify(prog, &secflow::rules::RuleConfig::default())
+                .map_err(|e| format!("certification FAILED for user `{}`: {e}", g.user))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let derivations = certs.iter().map(|c| c.terms_checked).sum();
+    Ok(Certified { certs, derivations })
 }
 
 /// Requirement index → group index, from a batch outcome.
@@ -1165,25 +1102,10 @@ pub fn render_audit(schema: &Schema, outcome: &BatchOutcome, opts: &AuditOptions
     }
     // Certify first: flaw paths are only reported from a derivation record
     // the independent checker accepts.
-    let mut derivations = 0usize;
-    let mut closures = 0usize;
-    for g in &outcome.groups {
-        let Some((prog, closure)) = g.artifacts.as_ref() else {
-            continue;
-        };
-        match closure.certify(prog, &secflow::rules::RuleConfig::default()) {
-            Ok(cert) => {
-                derivations += cert.terms_checked;
-                closures += 1;
-            }
-            Err(e) => {
-                return audit_rejected(
-                    opts,
-                    format!("certification FAILED for user `{}`: {e}", g.user),
-                );
-            }
-        }
-    }
+    let certified = match certify_outcome(outcome) {
+        Ok(certified) => certified,
+        Err(msg) => return audit_rejected(opts, msg),
+    };
 
     let group_idx = group_of(outcome, schema.requirements.len());
     let min = opts.severity;
@@ -1298,10 +1220,7 @@ pub fn render_audit(schema: &Schema, outcome: &BatchOutcome, opts: &AuditOptions
         let _ = write!(text, "; max severity {s}");
     }
     text.push('\n');
-    let _ = writeln!(
-        text,
-        "certified: {derivations} derivation(s) re-validated across {closures} closure(s)"
-    );
+    let _ = writeln!(text, "{certified}");
 
     let code = if violated > 0 {
         exit::VIOLATION
@@ -1373,8 +1292,14 @@ pub fn render_audit(schema: &Schema, outcome: &BatchOutcome, opts: &AuditOptions
                 (
                     "certified".to_owned(),
                     Json::Obj(vec![
-                        ("closures".to_owned(), Json::count(closures as u64)),
-                        ("derivations".to_owned(), Json::count(derivations as u64)),
+                        (
+                            "closures".to_owned(),
+                            Json::count(certified.certs.len() as u64),
+                        ),
+                        (
+                            "derivations".to_owned(),
+                            Json::count(certified.derivations as u64),
+                        ),
                     ]),
                 ),
                 ("violations".to_owned(), Json::Arr(violations_json)),
@@ -1479,86 +1404,52 @@ fn witness_json(prog: &NProgram, report: &secflow::WitnessReport) -> Json {
     ])
 }
 
-/// The `check` loop with stats: like [`check_report`] but the batch driver
-/// collects per-group phase timings and closure counters, which aggregate
-/// into the metrics report and the trace timeline.
-fn check_report_instrumented(
-    schema: &Schema,
-    explain: bool,
-    jobs: usize,
-    full_saturation: bool,
-    certify: bool,
-    col: &mut Collected,
-) -> (String, i32) {
-    let mut out = String::new();
-    if schema.requirements.is_empty() {
-        let _ = writeln!(
-            out,
-            "no `require` declarations in the policy — nothing to check"
-        );
-        return (out, exit::OK);
-    }
-    let outcome = check_batch(schema, explain, jobs, full_saturation, certify, true);
-    let group_idx = group_of(&outcome, schema.requirements.len());
-    collect_batch(schema, &outcome, col);
-    let mut violated = 0usize;
-    for (i, req) in schema.requirements.iter().enumerate() {
-        let g = &outcome.groups[group_idx[i]];
-        match &outcome.verdicts[i] {
-            Ok(Verdict::Satisfied) => {
-                let _ = writeln!(out, "ok    {req}");
-            }
-            Ok(Verdict::Violated(violations)) => {
-                violated += 1;
-                let _ = writeln!(out, "FLAW  {req}  ({} occurrence(s))", violations.len());
-                if explain {
-                    if let Some((prog, closure)) = g.artifacts.as_ref() {
-                        render_explanations(prog, closure, violations, &mut out);
-                    }
-                }
-            }
-            Err(e) => {
-                let _ = writeln!(out, "error {req}: {e}");
-                return (out, exit::INPUT);
-            }
-        }
-    }
-    let _ = writeln!(
-        out,
-        "{} requirement(s), {} violated",
-        schema.requirements.len(),
-        violated
-    );
-    if certify {
-        match certify_outcome(&outcome, &mut out) {
-            Ok(certs) => {
-                for cert in &certs {
-                    col.closure.absorb_certificate(cert);
-                }
-            }
-            Err(code) => return (out, code),
-        }
-    }
-    (out, i32::from(violated > 0))
-}
-
+/// The buffered `check`: run the batch driver over every `require`, then
+/// render the outcome. With `col` the batch collects per-group phase
+/// timings and closure counters, which aggregate into the metrics report
+/// and the trace timeline.
 fn check_report(
     schema: &Schema,
     explain: bool,
     jobs: usize,
     full_saturation: bool,
     certify: bool,
+    mut col: Option<&mut Collected>,
 ) -> (String, i32) {
-    let mut out = String::new();
     if schema.requirements.is_empty() {
-        let _ = writeln!(
-            out,
-            "no `require` declarations in the policy — nothing to check"
+        return (
+            "no `require` declarations in the policy — nothing to check\n".to_owned(),
+            exit::OK,
         );
-        return (out, exit::OK);
     }
-    let outcome = check_batch(schema, explain, jobs, full_saturation, certify, false);
-    let group_idx = group_of(&outcome, schema.requirements.len());
+    let outcome = check_batch(
+        schema,
+        explain,
+        jobs,
+        full_saturation,
+        certify,
+        col.is_some(),
+    );
+    if let Some(col) = col.as_deref_mut() {
+        collect_batch(schema, &outcome, col);
+    }
+    render_check(schema, &outcome, explain, certify, col)
+}
+
+/// Render a buffered check outcome: one line per requirement in policy
+/// order (with derivations under `--explain`), the summary line, then under
+/// `--certify` the certify summary — or the rejection and
+/// [`exit::CERTIFY`]. With `col` the certificates' per-rule check counters
+/// join the metrics.
+fn render_check(
+    schema: &Schema,
+    outcome: &BatchOutcome,
+    explain: bool,
+    certify: bool,
+    col: Option<&mut Collected>,
+) -> (String, i32) {
+    let group_idx = group_of(outcome, schema.requirements.len());
+    let mut out = String::new();
     let mut violated = 0usize;
     for (i, req) in schema.requirements.iter().enumerate() {
         match &outcome.verdicts[i] {
@@ -1587,11 +1478,100 @@ fn check_report(
         violated
     );
     if certify {
-        if let Err(code) = certify_outcome(&outcome, &mut out) {
-            return (out, code);
+        match certify_outcome(outcome) {
+            Ok(certified) => {
+                let _ = writeln!(out, "{certified}");
+                if let Some(col) = col {
+                    for cert in &certified.certs {
+                        col.closure.absorb_certificate(cert);
+                    }
+                }
+            }
+            Err(msg) => {
+                let _ = writeln!(out, "{msg}");
+                return (out, exit::CERTIFY);
+            }
         }
     }
     (out, i32::from(violated > 0))
+}
+
+/// One verdict object: `requirement` (policy index), `require` (display
+/// form) and `status` of `"satisfied"`, `"violated"` (plus
+/// `"occurrences"`) or `"error"` (plus the `"error"` message). The
+/// `check --stream --format=ndjson` records and every serve response share
+/// this shape.
+fn verdict_json(idx: usize, require: &str, status: &ReqStatus) -> Json {
+    let mut fields = vec![
+        ("requirement".to_owned(), Json::count(idx as u64)),
+        ("require".to_owned(), Json::str(require)),
+    ];
+    match status {
+        ReqStatus::Satisfied => fields.push(("status".to_owned(), Json::str("satisfied"))),
+        ReqStatus::Violated(n) => {
+            fields.push(("status".to_owned(), Json::str("violated")));
+            fields.push(("occurrences".to_owned(), Json::count(*n)));
+        }
+        ReqStatus::Error(e) => {
+            fields.push(("status".to_owned(), Json::str("error")));
+            fields.push(("error".to_owned(), Json::str(e)));
+        }
+    }
+    Json::Obj(fields)
+}
+
+/// A requirement's verdict reduced to what the NDJSON records carry —
+/// deliberately witness-free (status + occurrence count), so the resident
+/// incremental path and the cached batch path (whose closures pick
+/// witnesses in different orders) produce identical records.
+#[derive(Clone, PartialEq, Eq)]
+enum ReqStatus {
+    Satisfied,
+    Violated(u64),
+    Error(String),
+}
+
+impl ReqStatus {
+    fn of(v: &Result<Verdict, secflow::algorithm::AnalysisError>) -> ReqStatus {
+        match v {
+            Ok(Verdict::Satisfied) => ReqStatus::Satisfied,
+            Ok(Verdict::Violated(vs)) => ReqStatus::Violated(vs.len() as u64),
+            Err(e) => ReqStatus::Error(e.to_string()),
+        }
+    }
+}
+
+/// Render one streamed group record as a compact NDJSON object, returning
+/// the object plus the record's `(violated, error)` verdict tallies. Free
+/// function so the error arm is unit-testable without provoking a real
+/// budget blowout through the binary path (the CLI runs on default budgets,
+/// which no test-sized policy exhausts).
+fn ndjson_record(schema: &Schema, record: &GroupRecord) -> (Json, usize, usize) {
+    let mut violated = 0usize;
+    let mut errors = 0usize;
+    let verdicts = record
+        .verdicts
+        .iter()
+        .map(|(i, verdict)| {
+            let status = ReqStatus::of(verdict);
+            match status {
+                ReqStatus::Satisfied => {}
+                ReqStatus::Violated(_) => violated += 1,
+                ReqStatus::Error(_) => errors += 1,
+            }
+            verdict_json(*i, &schema.requirements[*i].to_string(), &status)
+        })
+        .collect();
+    let obj = Json::Obj(vec![
+        ("group".to_owned(), Json::count(record.group_index as u64)),
+        ("user".to_owned(), Json::str(record.user.as_str())),
+        (
+            "occurrences_checked".to_owned(),
+            Json::count(record.occurrences_checked),
+        ),
+        ("verdicts".to_owned(), Json::Arr(verdicts)),
+    ]);
+    (obj, violated, errors)
 }
 
 /// The `--stream` check path: verdict lines are rendered and appended the
@@ -1609,58 +1589,9 @@ fn check_report(
 ///
 /// With `ndjson` each group record becomes exactly one compact JSON object
 /// per line — `{"group":…,"user":…,"occurrences_checked":…,"verdicts":[…]}`
-/// with per-verdict `requirement` (input index), `require` (display form)
-/// and `status` of `"satisfied"`, `"violated"` (plus `"occurrences"`) or
-/// `"error"` (plus `"error"` message) — followed by one final
+/// with one [`verdict_json`] object per requirement — followed by one final
 /// `{"summary":{…}}` line. The schema is pinned by
 /// `ndjson_stream_schema_is_pinned`.
-/// Render one streamed group record as a compact NDJSON object, returning
-/// the object plus the record's `(violated, error)` verdict tallies. Free
-/// function so the error arm is unit-testable without provoking a real
-/// budget blowout through the binary path (the CLI runs on default budgets,
-/// which no test-sized policy exhausts).
-fn ndjson_record(schema: &Schema, record: &GroupRecord) -> (Json, usize, usize) {
-    let mut violated = 0usize;
-    let mut errors = 0usize;
-    let mut verdicts = Vec::with_capacity(record.verdicts.len());
-    for (i, verdict) in &record.verdicts {
-        let req = &schema.requirements[*i];
-        let mut fields = vec![
-            ("requirement".to_owned(), Json::count(*i as u64)),
-            ("require".to_owned(), Json::str(&req.to_string())),
-        ];
-        match verdict {
-            Ok(Verdict::Satisfied) => {
-                fields.push(("status".to_owned(), Json::str("satisfied")));
-            }
-            Ok(Verdict::Violated(violations)) => {
-                violated += 1;
-                fields.push(("status".to_owned(), Json::str("violated")));
-                fields.push((
-                    "occurrences".to_owned(),
-                    Json::count(violations.len() as u64),
-                ));
-            }
-            Err(e) => {
-                errors += 1;
-                fields.push(("status".to_owned(), Json::str("error")));
-                fields.push(("error".to_owned(), Json::str(&e.to_string())));
-            }
-        }
-        verdicts.push(Json::Obj(fields));
-    }
-    let obj = Json::Obj(vec![
-        ("group".to_owned(), Json::count(record.group_index as u64)),
-        ("user".to_owned(), Json::str(record.user.as_str())),
-        (
-            "occurrences_checked".to_owned(),
-            Json::count(record.occurrences_checked),
-        ),
-        ("verdicts".to_owned(), Json::Arr(verdicts)),
-    ]);
-    (obj, violated, errors)
-}
-
 fn check_report_stream(
     schema: &Schema,
     jobs: usize,
@@ -1947,27 +1878,6 @@ fn parse_request(line: &str) -> Result<Vec<(String, String)>, String> {
         .collect()
 }
 
-/// A requirement's verdict reduced to what the serve records carry —
-/// deliberately witness-free (status + occurrence count), so the resident
-/// incremental path and the cached batch path (whose closures pick
-/// witnesses in different orders) produce identical records.
-#[derive(Clone, PartialEq, Eq)]
-enum ReqStatus {
-    Satisfied,
-    Violated(u64),
-    Error(String),
-}
-
-impl ReqStatus {
-    fn of(v: &Result<Verdict, secflow::algorithm::AnalysisError>) -> ReqStatus {
-        match v {
-            Ok(Verdict::Satisfied) => ReqStatus::Satisfied,
-            Ok(Verdict::Violated(vs)) => ReqStatus::Violated(vs.len() as u64),
-            Err(e) => ReqStatus::Error(e.to_string()),
-        }
-    }
-}
-
 /// The policy's requirements grouped by user, built once per session so a
 /// check touches only its own user's requirements.
 struct ReqIndex<'s> {
@@ -2177,27 +2087,6 @@ impl<'s> ServeState<'s> {
         }
     }
 
-    /// One verdict object, shaped exactly like the `check --stream
-    /// --format=ndjson` per-verdict records.
-    fn verdict_json(&self, idx: usize, st: &ReqStatus) -> Json {
-        let mut fields = vec![
-            ("requirement".to_owned(), Json::count(idx as u64)),
-            ("require".to_owned(), Json::str(&self.index().text[idx])),
-        ];
-        match st {
-            ReqStatus::Satisfied => fields.push(("status".to_owned(), Json::str("satisfied"))),
-            ReqStatus::Violated(n) => {
-                fields.push(("status".to_owned(), Json::str("violated")));
-                fields.push(("occurrences".to_owned(), Json::count(*n)));
-            }
-            ReqStatus::Error(e) => {
-                fields.push(("status".to_owned(), Json::str("error")));
-                fields.push(("error".to_owned(), Json::str(e)));
-            }
-        }
-        Json::Obj(fields)
-    }
-
     fn field<'a>(fields: &'a [(String, String)], key: &str) -> Option<&'a str> {
         fields
             .iter()
@@ -2256,7 +2145,7 @@ impl<'s> ServeState<'s> {
                 let statuses = self.statuses(&user);
                 let verdicts: Vec<Json> = statuses
                     .iter()
-                    .map(|(i, st)| self.verdict_json(*i, st))
+                    .map(|(i, st)| verdict_json(*i, &self.index().text[*i], st))
                     .collect();
                 let obj = Json::Obj(vec![
                     ("op".to_owned(), Json::str("check")),
@@ -2314,7 +2203,7 @@ impl<'s> ServeState<'s> {
                     .find(|(j, _)| j == i)
                     .is_none_or(|(_, old)| old != st)
             })
-            .map(|(i, st)| self.verdict_json(*i, st))
+            .map(|(i, st)| verdict_json(*i, &self.index().text[*i], st))
             .collect();
         let obj = Json::Obj(vec![
             ("op".to_owned(), Json::str(op)),
@@ -2382,54 +2271,57 @@ impl<'s> ServeState<'s> {
     }
 }
 
-/// Drive a full serve session over an in-memory request script — the
-/// unit-testable core of `secflow serve`. Returns the concatenated NDJSON
-/// response stream and the exit code. The stream opens with a
-/// `{"ready":…}` line and always ends with a `{"shutdown":…}` line,
-/// whether the script asked for it or simply ran out (EOF).
-pub fn serve_session<I>(schema: &Schema, requests: I) -> (String, i32)
+/// The one serve loop: the `{"ready":…}` line, one response per request
+/// line (each flushed the moment it is written, so a watch mode or editor
+/// integration sees a verdict delta as soon as the edit lands), and a
+/// closing `{"shutdown":…}` line whether the requests asked for it or
+/// simply ran out (EOF). Write errors are ignored: the session keeps
+/// serving its requests.
+fn serve_to<I>(schema: &Schema, requests: I, out: &mut impl std::io::Write)
 where
     I: IntoIterator,
     I::Item: AsRef<str>,
 {
     let config = AnalysisConfig::default();
     let mut state = ServeState::new(schema, &config);
-    let mut out = state.ready_line();
+    let mut emit = |text: &str| {
+        let _ = out.write_all(text.as_bytes());
+        let _ = out.flush();
+    };
+    emit(&state.ready_line());
     for line in requests {
         let (resp, done) = state.handle(line.as_ref());
-        out.push_str(&resp);
+        emit(&resp);
         if done {
-            return (out, exit::OK);
+            return;
         }
     }
-    out.push_str(&state.shutdown_line());
-    (out, exit::OK)
+    emit(&state.shutdown_line());
+}
+
+/// Drive a full serve session over an in-memory request script — the
+/// unit-testable core of `secflow serve`. Returns the concatenated NDJSON
+/// response stream and the exit code.
+pub fn serve_session<I>(schema: &Schema, requests: I) -> (String, i32)
+where
+    I: IntoIterator,
+    I::Item: AsRef<str>,
+{
+    let mut out = Vec::new();
+    serve_to(schema, requests, &mut out);
+    (
+        String::from_utf8(out).expect("serve responses are UTF-8"),
+        exit::OK,
+    )
 }
 
 /// The real `secflow serve` loop: NDJSON requests from stdin, responses
-/// written (and flushed) to stdout line by line — a watch mode or editor
-/// integration sees each verdict delta the moment the edit lands. The
-/// buffered `(report, code)` return stays empty; everything was already
-/// streamed.
+/// streamed to stdout. The buffered `(report, code)` return stays empty;
+/// everything was already streamed.
 fn serve_stdin(schema: &Schema) -> (String, i32) {
-    use std::io::{BufRead as _, Write as _};
-    let config = AnalysisConfig::default();
-    let mut state = ServeState::new(schema, &config);
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let _ = out.write_all(state.ready_line().as_bytes());
-    let _ = out.flush();
-    for line in std::io::stdin().lock().lines() {
-        let Ok(line) = line else { break };
-        let (resp, done) = state.handle(&line);
-        let _ = out.write_all(resp.as_bytes());
-        let _ = out.flush();
-        if done {
-            return (String::new(), exit::OK);
-        }
-    }
-    let _ = out.write_all(state.shutdown_line().as_bytes());
-    let _ = out.flush();
+    use std::io::BufRead as _;
+    let requests = std::io::stdin().lock().lines().map_while(Result::ok);
+    serve_to(schema, requests, &mut std::io::stdout().lock());
     (String::new(), exit::OK)
 }
 
@@ -3061,31 +2953,90 @@ mod tests {
         }
     }
 
+    /// Every command shape through the one dispatcher, with observability
+    /// off and fully on: stdout and the exit code must not change.
     #[test]
     fn metrics_on_non_check_commands() {
-        let cmd = Command::Unfold {
+        let check = |explain, certify, stream, ndjson| Command::Check {
+            file: "-".into(),
+            explain,
+            jobs: 1,
+            full_saturation: false,
+            certify,
+            stream,
+            ndjson,
+        };
+        let cases = [
+            ("check", check(false, false, false, false), POLICY),
+            ("check --explain", check(true, false, false, false), POLICY),
+            ("check --certify", check(false, true, false, false), POLICY),
+            ("check --stream", check(false, false, true, false), POLICY),
+            (
+                "check --stream --format=ndjson",
+                check(false, false, true, true),
+                POLICY,
+            ),
+            ("audit", audit_cmd(), POLICY),
+            (
+                "audit --format=json",
+                audit_cmd_with(AuditFormat::Json, None),
+                POLICY,
+            ),
+            (
+                "unfold",
+                Command::Unfold {
+                    file: "-".into(),
+                    user: "clerk".into(),
+                },
+                POLICY,
+            ),
+            (
+                "attack",
+                Command::Attack {
+                    file: "-".into(),
+                    steps: 2,
+                },
+                POLICY,
+            ),
+            ("fix", Command::Fix { file: "-".into() }, POLICY),
+            ("fmt", Command::Fmt { file: "-".into() }, POLICY),
+            (
+                "parse error",
+                check(false, false, false, false),
+                "class C { x: bogus_type }",
+            ),
+        ];
+        let obs = ObsOptions {
+            metrics: Some(MetricsFormat::Json),
+            trace: Some(TraceOptions {
+                file: Some("t.json".into()),
+                format: TraceFormat::Chrome,
+            }),
+        };
+        for (label, cmd, src) in cases {
+            let (plain, plain_code) = run_on_source(&cmd, src);
+            let out = run_on_source_with_obs(&cmd, src, &obs);
+            assert_eq!(out.stdout, plain, "{label}: stdout changed");
+            assert_eq!(out.code, plain_code, "{label}: exit code changed");
+            Json::parse(&out.stderr)
+                .unwrap_or_else(|e| panic!("{label}: metrics are not one JSON document: {e}"));
+        }
+        let text = ObsOptions {
+            metrics: Some(MetricsFormat::Text),
+            trace: None,
+        };
+        let unfold = Command::Unfold {
             file: "-".into(),
             user: "clerk".into(),
         };
-        let (plain, _) = run_on_source(&cmd, POLICY);
-        let out = run_on_source_with_obs(
-            &cmd,
-            POLICY,
-            &ObsOptions {
-                metrics: Some(MetricsFormat::Text),
-                trace: None,
-            },
-        );
-        assert_eq!(out.stdout, plain);
-        assert!(out.stderr.contains("unfold"));
+        assert!(run_on_source_with_obs(&unfold, POLICY, &text)
+            .stderr
+            .contains("unfold"));
         // Parse errors still exit 3 with the metrics facility on.
         let bad = run_on_source_with_obs(
             &Command::Fmt { file: "-".into() },
             "class C { x: bogus_type }",
-            &ObsOptions {
-                metrics: Some(MetricsFormat::Text),
-                trace: None,
-            },
+            &text,
         );
         assert_eq!(bad.code, exit::INPUT);
         assert!(bad.stdout.contains("error"));
@@ -3276,12 +3227,8 @@ mod tests {
             .expect("closure has a ta term");
         // `rule for =` can only conclude an equality, never a `ta` term.
         assert!(closure.replace_proof(&t, "rule for =", vec![]));
-        let mut out = String::new();
-        let code = match certify_outcome(&outcome, &mut out) {
-            Ok(_) => panic!("corrupted outcome certified: {out}"),
-            Err(code) => code,
-        };
-        assert_eq!(code, exit::CERTIFY);
+        let (out, code) = render_check(&schema, &outcome, false, true, None);
+        assert_eq!(code, exit::CERTIFY, "corrupted outcome certified: {out}");
         assert!(
             out.contains("certification FAILED for user "),
             "missing failure report: {out}"

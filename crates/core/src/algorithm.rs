@@ -34,7 +34,7 @@ use crate::unfold::{ExprId, NKind, NProgram, UnfoldError, DEFAULT_NODE_LIMIT};
 use oodb_lang::requirement::{Cap, Requirement};
 use oodb_lang::Schema;
 use oodb_model::{CapabilityList, FnRef, Type, UserName};
-use secflow_obs::{MetricsSink, Phases};
+use secflow_obs::Phases;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -169,49 +169,29 @@ pub fn analyze(schema: &Schema, req: &Requirement) -> Result<Verdict, AnalysisEr
 /// Run `A(R)` with explicit configuration. The schema must already be
 /// type-checked (see [`oodb_lang::check_schema`]).
 ///
-/// This is the demand-driven path: saturation is restricted to the
+/// A one-requirement [`analyze_batch`]: saturation is restricted to the
 /// requirement's relevance slice ([`DemandPlan`]) and stops as soon as
 /// every target occurrence's verdict is decided. Verdicts — including
-/// witness terms — are identical to [`analyze_full`], which saturates the
-/// whole program.
+/// witness terms — are identical to full saturation
+/// ([`BatchOptions::full_saturation`]).
 pub fn analyze_with_config(
     schema: &Schema,
     req: &Requirement,
     config: &AnalysisConfig,
 ) -> Result<Verdict, AnalysisError> {
-    let caps = schema
-        .user(&req.user)
-        .ok_or_else(|| AnalysisError::UnknownUser(req.user.to_string()))?;
-    let prog = NProgram::unfold_with_limit(schema, caps, config.node_limit)?;
-    let occs = occurrences(&prog, &req.target);
-    let plan = DemandPlan::build(&prog, [(req, occs.as_slice())]);
-    let closure =
-        Closure::compute_with(&prog, &config.closure_options(ProofMode::Off, Some(&plan)))?;
-    Ok(check_with_occurrences(&prog, &closure, req, &occs))
+    analyze_batch(
+        schema,
+        std::slice::from_ref(req),
+        config,
+        &BatchOptions::default(),
+    )
+    .verdicts
+    .pop()
+    .expect("one requirement, one verdict")
 }
 
-/// Run `A(R)` with full saturation: the closure of **all** derivable terms,
-/// exactly as the paper states `A(R)`. [`analyze_with_config`] reaches the
-/// same verdict by deriving only the slice-restricted subset; this
-/// entry point is the escape hatch behind the CLI's `--full-saturation`
-/// flag and the oracle side of the demand differential tests.
-pub fn analyze_full(
-    schema: &Schema,
-    req: &Requirement,
-    config: &AnalysisConfig,
-) -> Result<Verdict, AnalysisError> {
-    let caps = schema
-        .user(&req.user)
-        .ok_or_else(|| AnalysisError::UnknownUser(req.user.to_string()))?;
-    let prog = NProgram::unfold_with_limit(schema, caps, config.node_limit)?;
-    // Membership-only closure: verdicts never read derivations, so the
-    // proof map would be pure allocation overhead here.
-    let closure = Closure::compute_with(&prog, &config.closure_options(ProofMode::Off, None))?;
-    Ok(check_against(&prog, &closure, req))
-}
-
-/// Everything measured during one [`analyze_with_stats`] run: per-phase
-/// wall-clock (unfold → closure → check) plus the closure's own counters.
+/// Everything measured during one group's run: per-phase wall-clock
+/// (unfold → closure → check) plus the closure's own counters.
 #[derive(Clone, Debug, Default)]
 pub struct AnalysisStats {
     /// Wall-clock per analysis phase, in execution order.
@@ -222,50 +202,6 @@ pub struct AnalysisStats {
     pub program_nodes: u64,
     /// Occurrences of the target function that were checked.
     pub occurrences_checked: u64,
-}
-
-impl AnalysisStats {
-    /// Report phase spans and closure counters into a sink, plus the
-    /// `analysis.program_nodes` / `analysis.occurrences` counters.
-    pub fn record_to(&self, sink: &mut dyn MetricsSink) {
-        self.phases.record_to(sink);
-        self.closure.record_to(sink);
-        sink.counter("analysis.program_nodes", self.program_nodes);
-        sink.counter("analysis.occurrences", self.occurrences_checked);
-    }
-}
-
-/// Run `A(R)` like [`analyze_with_config`], but also return
-/// [`AnalysisStats`]: per-phase timings and the closure's internal
-/// counters. Stats describe whatever phases ran, even when the analysis
-/// errors out part-way (unknown user, unfolding budget, closure budget).
-pub fn analyze_with_stats(
-    schema: &Schema,
-    req: &Requirement,
-    config: &AnalysisConfig,
-) -> (Result<Verdict, AnalysisError>, AnalysisStats) {
-    let mut stats = AnalysisStats::default();
-    let result = (|| {
-        let caps = schema
-            .user(&req.user)
-            .ok_or_else(|| AnalysisError::UnknownUser(req.user.to_string()))?;
-        let prog = stats.phases.time("unfold", || {
-            NProgram::unfold_with_limit(schema, caps, config.node_limit)
-        })?;
-        stats.program_nodes = prog.iter().count() as u64;
-        let occs = occurrences(&prog, &req.target);
-        let (closure, cstats) = stats.phases.time("closure", || {
-            let plan = DemandPlan::build(&prog, [(req, occs.as_slice())]);
-            Closure::compute_with_stats(&prog, &config.closure_options(ProofMode::Off, Some(&plan)))
-        });
-        stats.closure = cstats;
-        let closure = closure?;
-        Ok(stats.phases.time("check", || {
-            stats.occurrences_checked = occs.len() as u64;
-            check_with_occurrences(&prog, &closure, req, &occs)
-        }))
-    })();
-    (result, stats)
 }
 
 /// The capability queries `A(R)`'s verdict check needs from a closure.
@@ -947,11 +883,7 @@ fn demand_shared_cached(
     let (prog, mut memo, mut covered) = match prior {
         Some(entry) => (entry.prog, OccMemo::from_entries(entry.occs), entry.covered),
         None => (
-            Arc::new(NProgram::unfold_with_limit(
-                schema,
-                caps,
-                config.node_limit,
-            )?),
+            Arc::new(unfold(schema, caps, config)?),
             OccMemo::default(),
             Vec::new(),
         ),
@@ -961,19 +893,11 @@ fn demand_shared_cached(
             covered.push((*r).clone());
         }
     }
-    let plan = {
-        let pairs: Vec<(&Requirement, Arc<Vec<Occurrence>>)> = covered
-            .iter()
-            .map(|r| {
-                let occs = memo.get(&prog, &r.target);
-                (r, occs)
-            })
-            .collect();
-        DemandPlan::build(&prog, pairs.iter().map(|(r, o)| (*r, o.as_slice())))
-    };
-    let closure = Arc::new(Closure::compute_with(
+    let plan = demand_plan(&prog, &mut memo, &covered);
+    let closure = Arc::new(saturate(
         &prog,
         &config.closure_options(ProofMode::Off, Some(&plan)),
+        None,
     )?);
     let drained = !closure.early_exited();
     cache.store(
@@ -1446,7 +1370,56 @@ impl SharedArtifacts {
     }
 }
 
-/// The shared phases plus per-requirement checks for one user group.
+/// Unfold `S'(F)` for one capability list under the configured node
+/// budget — the only unfolding behind `A(R)`, cached or not.
+fn unfold(
+    schema: &Schema,
+    caps: &CapabilityList,
+    config: &AnalysisConfig,
+) -> Result<NProgram, AnalysisError> {
+    Ok(NProgram::unfold_with_limit(
+        schema,
+        caps,
+        config.node_limit,
+    )?)
+}
+
+/// Saturate `F(F)` over `prog` — the only closure construction behind
+/// `A(R)`. With `stats`, the run also records its counters there, even when
+/// it aborts on the term budget.
+fn saturate(
+    prog: &NProgram,
+    options: &ClosureOptions<'_>,
+    stats: Option<&mut ClosureStats>,
+) -> Result<Closure, AnalysisError> {
+    match stats {
+        Some(stats) => {
+            let (closure, counters) = Closure::compute_with_stats(prog, options);
+            *stats = counters;
+            Ok(closure?)
+        }
+        None => Ok(Closure::compute_with(prog, options)?),
+    }
+}
+
+/// The relevance slice of `reqs` over `prog`, enumerating each target's
+/// occurrences through the group's memo.
+fn demand_plan<'r>(
+    prog: &NProgram,
+    memo: &mut OccMemo,
+    reqs: impl IntoIterator<Item = &'r Requirement>,
+) -> DemandPlan {
+    let pairs: Vec<(&Requirement, Arc<Vec<Occurrence>>)> = reqs
+        .into_iter()
+        .map(|r| (r, memo.get(prog, &r.target)))
+        .collect();
+    DemandPlan::build(prog, pairs.iter().map(|(r, o)| (*r, o.as_slice())))
+}
+
+/// `A(R)` for one user group — the body behind every analysis entry point:
+/// serve the group from the cache when it is eligible; otherwise unfold,
+/// build the demand plan (demand-driven groups only), and saturate. Then
+/// check every requirement against the shared closure.
 fn run_group(
     schema: &Schema,
     reqs: &[Requirement],
@@ -1464,98 +1437,51 @@ fn run_group(
         check_occurrences: Vec::with_capacity(req_indexes.len()),
         artifacts: None,
     };
+    let group_reqs: Vec<&Requirement> = req_indexes.iter().map(|&i| &reqs[i]).collect();
     // Demand-driven saturation answers exactly the goal queries the checks
     // below will make; anything that inspects the closure beyond those
     // queries (proof rendering, kept artifacts) needs the full fixpoint.
-    let use_demand = !opts.full_saturation && opts.proofs == ProofMode::Off && !opts.keep_artifacts;
+    let demand = !opts.full_saturation && opts.proofs == ProofMode::Off && !opts.keep_artifacts;
+    // Per-group counters are request-specific: only stats-free demand
+    // groups share closures through the cache.
+    let scope = scope.filter(|_| demand && !opts.collect_stats);
     let mut memo = OccMemo::default();
+    let stats = &mut group.stats;
     let shared: Result<SharedArtifacts, AnalysisError> = (|| {
-        if use_demand {
-            if let Some(scope) = scope.filter(|_| !opts.collect_stats) {
-                let caps = schema
-                    .user(user)
-                    .ok_or_else(|| AnalysisError::UnknownUser(user.to_string()))?;
-                let group_reqs: Vec<&Requirement> = req_indexes.iter().map(|&i| &reqs[i]).collect();
-                let (prog, closure, cached_memo) = group
-                    .stats
-                    .phases
-                    .time("closure", || demand_shared_cached(scope, caps, &group_reqs))?;
-                group.stats.program_nodes = prog.len() as u64;
-                memo = cached_memo;
-                return Ok(SharedArtifacts::Shared(prog, closure));
-            }
-            let caps = schema
-                .user(user)
-                .ok_or_else(|| AnalysisError::UnknownUser(user.to_string()))?;
-            let prog = group.stats.phases.time("unfold", || {
-                NProgram::unfold_with_limit(schema, caps, config.node_limit)
-            })?;
-            group.stats.program_nodes = prog.len() as u64;
-            let pairs: Vec<(usize, Arc<Vec<Occurrence>>)> = req_indexes
-                .iter()
-                .map(|&i| (i, memo.get(&prog, &reqs[i].target)))
-                .collect();
-            let closure = if opts.collect_stats {
-                let (c, cstats) = group.stats.phases.time("closure", || {
-                    let plan = DemandPlan::build(
-                        &prog,
-                        pairs.iter().map(|(i, o)| (&reqs[*i], o.as_slice())),
-                    );
-                    Closure::compute_with_stats(
-                        &prog,
-                        &config.closure_options(ProofMode::Off, Some(&plan)),
-                    )
-                });
-                group.stats.closure = cstats;
-                c?
-            } else {
-                group.stats.phases.time("closure", || {
-                    let plan = DemandPlan::build(
-                        &prog,
-                        pairs.iter().map(|(i, o)| (&reqs[*i], o.as_slice())),
-                    );
-                    Closure::compute_with(
-                        &prog,
-                        &config.closure_options(ProofMode::Off, Some(&plan)),
-                    )
-                })?
-            };
-            return Ok(SharedArtifacts::Owned(Box::new((prog, closure))));
-        }
         let caps = schema
             .user(user)
             .ok_or_else(|| AnalysisError::UnknownUser(user.to_string()))?;
-        let prog = group.stats.phases.time("unfold", || {
-            NProgram::unfold_with_limit(schema, caps, config.node_limit)
+        if let Some(scope) = scope {
+            let (prog, closure, cached_memo) = stats
+                .phases
+                .time("closure", || demand_shared_cached(scope, caps, &group_reqs))?;
+            stats.program_nodes = prog.len() as u64;
+            memo = cached_memo;
+            return Ok(SharedArtifacts::Shared(prog, closure));
+        }
+        let prog = stats
+            .phases
+            .time("unfold", || unfold(schema, caps, config))?;
+        stats.program_nodes = prog.len() as u64;
+        let closure = stats.phases.time("closure", || {
+            let plan = demand.then(|| demand_plan(&prog, &mut memo, group_reqs.iter().copied()));
+            saturate(
+                &prog,
+                &config.closure_options(opts.proofs, plan.as_ref()),
+                opts.collect_stats.then_some(&mut stats.closure),
+            )
         })?;
-        group.stats.program_nodes = prog.len() as u64;
-        let closure = if opts.collect_stats {
-            let (c, cstats) = group.stats.phases.time("closure", || {
-                Closure::compute_with_stats(&prog, &config.closure_options(opts.proofs, None))
-            });
-            group.stats.closure = cstats;
-            c?
-        } else {
-            group.stats.phases.time("closure", || {
-                Closure::compute_with(&prog, &config.closure_options(opts.proofs, None))
-            })?
-        };
         Ok(SharedArtifacts::Owned(Box::new((prog, closure))))
     })();
 
     let mut verdicts = Vec::with_capacity(req_indexes.len());
     match shared {
-        Err(e) => {
-            for &i in req_indexes {
-                verdicts.push((i, Err(e.clone())));
-            }
-        }
+        Err(e) => verdicts.extend(req_indexes.iter().map(|&i| (i, Err(e.clone())))),
         Ok(shared) => {
             let prog = shared.prog();
             let closure = shared.closure();
             let mut check_total = Duration::ZERO;
-            for &i in req_indexes {
-                let req = &reqs[i];
+            for (&i, req) in req_indexes.iter().zip(&group_reqs) {
                 let start = Instant::now();
                 let occs = memo.get(prog, &req.target);
                 group.check_occurrences.push(occs.len() as u64);
@@ -1684,11 +1610,27 @@ mod tests {
         }
     }
 
+    /// One requirement through the stats-collecting batch driver: its
+    /// single group carries the verdict's phase timings and counters.
+    fn stats_run(
+        s: &Schema,
+        req: &str,
+        config: &AnalysisConfig,
+    ) -> (Result<Verdict, AnalysisError>, AnalysisStats) {
+        let r = parse_requirement(req).unwrap();
+        let opts = BatchOptions {
+            collect_stats: true,
+            ..BatchOptions::default()
+        };
+        let mut out = analyze_batch(s, std::slice::from_ref(&r), config, &opts);
+        let group = out.groups.pop().expect("one requirement, one group");
+        (out.verdicts.pop().unwrap(), group.stats)
+    }
+
     #[test]
-    fn analyze_with_stats_reports_phases_and_counters() {
+    fn batch_stats_report_phases_and_counters() {
         let s = schema();
-        let r = parse_requirement("(clerk, r_salary(x) : ti)").unwrap();
-        let (v, stats) = analyze_with_stats(&s, &r, &AnalysisConfig::default());
+        let (v, stats) = stats_run(&s, "(clerk, r_salary(x) : ti)", &AnalysisConfig::default());
         assert!(v.unwrap().is_violated(), "same verdict as analyze()");
         for phase in ["unfold", "closure", "check"] {
             assert!(stats.phases.get(phase).is_some(), "missing phase {phase}");
@@ -1700,13 +1642,15 @@ mod tests {
     }
 
     #[test]
-    fn analyze_with_stats_round_trips_through_json() {
-        use secflow_obs::{Json, MetricsReport, Recorder};
+    fn batch_stats_round_trip_through_json() {
+        use secflow_obs::{Json, MetricsReport, MetricsSink, Recorder};
         let s = schema();
-        let r = parse_requirement("(clerk, r_salary(x) : ti)").unwrap();
-        let (_, stats) = analyze_with_stats(&s, &r, &AnalysisConfig::default());
+        let (_, stats) = stats_run(&s, "(clerk, r_salary(x) : ti)", &AnalysisConfig::default());
         let mut rec = Recorder::new();
-        stats.record_to(&mut rec);
+        stats.phases.record_to(&mut rec);
+        stats.closure.record_to(&mut rec);
+        rec.counter("analysis.program_nodes", stats.program_nodes);
+        rec.counter("analysis.occurrences", stats.occurrences_checked);
         let report = rec.into_report();
         let text = report.to_json().pretty();
         let back = MetricsReport::from_json(&Json::parse(&text).unwrap()).unwrap();
@@ -1723,22 +1667,21 @@ mod tests {
     }
 
     #[test]
-    fn analyze_with_stats_reports_partial_runs() {
+    fn batch_stats_report_partial_runs() {
         // Unknown user: no phases ran, stats stay default but come back.
         let s = schema();
-        let r = parse_requirement("(ghost, r_salary(x) : ti)").unwrap();
-        let (v, stats) = analyze_with_stats(&s, &r, &AnalysisConfig::default());
+        let (v, stats) = stats_run(&s, "(ghost, r_salary(x) : ti)", &AnalysisConfig::default());
         assert!(matches!(v, Err(AnalysisError::UnknownUser(_))));
         assert!(stats.phases.is_empty());
         // Closure budget abort: unfold + closure phases ran, check did not.
-        let r = parse_requirement("(clerk, r_salary(x) : ti)").unwrap();
         let config = AnalysisConfig {
             term_limit: 5,
             ..AnalysisConfig::default()
         };
-        let (v, stats) = analyze_with_stats(&s, &r, &config);
+        let (v, stats) = stats_run(&s, "(clerk, r_salary(x) : ti)", &config);
         assert!(matches!(v, Err(AnalysisError::Closure(_))));
         assert!(stats.closure.aborted);
+        assert!(stats.phases.get("unfold").is_some());
         assert!(stats.phases.get("closure").is_some());
         assert!(stats.phases.get("check").is_none());
     }
@@ -1781,6 +1724,13 @@ mod tests {
         let s = schema();
         let reqs = batch_reqs();
         let expected: Vec<_> = reqs.iter().map(|r| analyze(&s, r)).collect();
+        // `analyze` is itself a one-group batch; the reference engine is
+        // the independent side.
+        let oracle: Vec<_> = reqs
+            .iter()
+            .map(|r| crate::reference::analyze_ref(&s, r, &AnalysisConfig::default()))
+            .collect();
+        assert_eq!(expected, oracle);
         for jobs in [1, 4] {
             let opts = BatchOptions {
                 jobs,
@@ -1880,7 +1830,19 @@ mod tests {
         ] {
             let r = parse_requirement(req).unwrap();
             let demand = analyze(&s, &r).unwrap();
-            let full = analyze_full(&s, &r, &AnalysisConfig::default()).unwrap();
+            let full = analyze_batch(
+                &s,
+                std::slice::from_ref(&r),
+                &AnalysisConfig::default(),
+                &BatchOptions {
+                    full_saturation: true,
+                    ..BatchOptions::default()
+                },
+            )
+            .verdicts
+            .pop()
+            .unwrap()
+            .unwrap();
             assert_eq!(demand, full, "{req}");
         }
     }

@@ -69,9 +69,9 @@ pub mod unfold;
 
 pub use advisor::{advise, Advice, AdvisorConfig, Repair};
 pub use algorithm::{
-    analyze, analyze_batch, analyze_batch_cached, analyze_full, analyze_with_config,
-    analyze_with_stats, AnalysisConfig, AnalysisError, AnalysisStats, BatchGroup, BatchOptions,
-    BatchOutcome, CacheScope, CacheStats, CapabilityView, ClosureCache,
+    analyze, analyze_batch, analyze_batch_cached, analyze_with_config, AnalysisConfig,
+    AnalysisError, AnalysisStats, BatchGroup, BatchOptions, BatchOutcome, CacheScope, CacheStats,
+    CapabilityView, ClosureCache,
 };
 pub use checker::{Certificate, CheckError};
 pub use closure::{Closure, ProofMode, SaturationMode};

@@ -11,15 +11,16 @@
 //! The engine-level checks take the full side from the independent
 //! reference engine ([`RefClosure`]), not from the engine under test.
 
+use oodb_lang::{Requirement, Schema};
 use proptest::prelude::*;
 use secflow::algorithm::{
-    analyze_batch, analyze_full, analyze_with_config, AnalysisConfig, AnalysisError, BatchOptions,
-    ClosureCache,
+    analyze_batch, analyze_with_config, AnalysisConfig, AnalysisError, BatchOptions, ClosureCache,
 };
 use secflow::algorithm::{analyze_batch_cached, occurrences};
 use secflow::closure::{Closure, ClosureOptions, ProofMode};
 use secflow::demand::DemandPlan;
 use secflow::reference::RefClosure;
+use secflow::report::Verdict;
 use secflow::term::Term;
 use secflow::unfold::{ExprId, NProgram};
 use secflow_workloads::random::{random_case, RandomSpec};
@@ -33,6 +34,24 @@ fn oracle(prog: &NProgram, label: &str) -> RefClosure {
         .certify(prog, &secflow::rules::RuleConfig::default())
         .unwrap_or_else(|e| panic!("{label}: full closure fails certification: {e}"));
     RefClosure::compute(prog).unwrap_or_else(|e| panic!("{label}: reference: {e}"))
+}
+
+/// `A(R)` on the full closure of all derivable terms — the paper's own
+/// statement of the algorithm, and the oracle side of every verdict
+/// comparison here.
+fn full_verdict(
+    schema: &Schema,
+    req: &Requirement,
+    config: &AnalysisConfig,
+) -> Result<Verdict, AnalysisError> {
+    let opts = BatchOptions {
+        full_saturation: true,
+        ..BatchOptions::default()
+    };
+    analyze_batch(schema, std::slice::from_ref(req), config, &opts)
+        .verdicts
+        .pop()
+        .expect("one requirement, one verdict")
 }
 
 /// The demand engine on one plan vs. the reference engine's full closure
@@ -113,7 +132,7 @@ fn scale_families_verdicts_and_closures_identical() {
     let config = AnalysisConfig::default();
     for (label, case) in cases {
         let demand = analyze_with_config(&case.schema, &case.requirement, &config);
-        let full = analyze_full(&case.schema, &case.requirement, &config);
+        let full = full_verdict(&case.schema, &case.requirement, &config);
         assert_eq!(demand, full, "{label}: verdicts differ");
         let caps = case.schema.user_str("u").unwrap();
         let prog = NProgram::unfold(&case.schema, caps).unwrap();
@@ -159,7 +178,7 @@ fn cached_batches_stay_identical_across_calls() {
     let baseline: Vec<_> = case
         .requirements
         .iter()
-        .map(|r| analyze_full(&case.schema, r, &config))
+        .map(|r| full_verdict(&case.schema, r, &config))
         .collect();
     for round in 0..3 {
         let out = analyze_batch_cached(
@@ -201,7 +220,7 @@ fn term_limit_aborts_agree_on_the_paper_fixture() {
             ..AnalysisConfig::default()
         };
         let demand = analyze_with_config(&schema, &req, &config);
-        let full = analyze_full(&schema, &req, &config);
+        let full = full_verdict(&schema, &req, &config);
         match (&demand, &full) {
             // Demand hitting the budget implies full hits it (subsequence).
             (Err(AnalysisError::Closure(_)), f) => assert!(
@@ -226,7 +245,7 @@ proptest! {
         let config = AnalysisConfig::default();
         for req in &case.requirements {
             let demand = analyze_with_config(&case.schema, req, &config);
-            let full = analyze_full(&case.schema, req, &config);
+            let full = full_verdict(&case.schema, req, &config);
             prop_assert_eq!(&demand, &full, "verdict differs for seed {} req {}", seed, req);
         }
     }
@@ -258,7 +277,7 @@ proptest! {
         };
         for req in &case.requirements {
             let demand = analyze_with_config(&case.schema, req, &config);
-            let full = analyze_full(&case.schema, req, &config);
+            let full = full_verdict(&case.schema, req, &config);
             match (&demand, &full) {
                 // Demand aborting implies full aborts: demand's inserts are
                 // a subsequence of full's, so it reaches any budget later.
