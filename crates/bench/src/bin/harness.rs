@@ -1,165 +1,163 @@
-//! The experiment harness: regenerates every artefact in EXPERIMENTS.md.
+//! The experiment harness: regenerates the paper's artefacts (E1–E8) and
+//! holds the deterministic gates of the engine experiments. It prints
+//! tables to stdout and writes no files; wall-clock timing of the user
+//! paths, layer by layer, is perfbench's job (`python3 perfbench/run.py`).
 //!
 //! ```text
-//! cargo run -p secflow-bench --release --bin harness           # all
-//! cargo run -p secflow-bench --release --bin harness -- e1 e3  # subset
-//! cargo run -p secflow-bench --release --bin harness -- e3=500 # corpus size
-//! cargo run -p secflow-bench --release --bin harness -- fastpath          # old-vs-new closure
-//! cargo run -p secflow-bench --release --bin harness -- fastpath --smoke  # CI-sized
+//! cargo run -p secflow-bench --release --bin harness                         # all
+//! cargo run -p secflow-bench --release --bin harness -- e1 e3                # subset
+//! cargo run -p secflow-bench --release --bin harness -- e3=500               # corpus size
+//! cargo run -p secflow-bench --release --bin harness -- saturation --smoke   # CI-sized
 //! ```
 //!
-//! The `fastpath` experiment additionally writes `BENCH_closure.json`: the
-//! reference-vs-interned closure timings (with a term-set identity check
-//! per case) and the batch-driver wall times per `--jobs` setting.
+//! The gated experiments (`--smoke` shrinks each to CI-sized instances):
 //!
-//! The `demand` experiment (`-- demand [--smoke]`) writes
-//! `BENCH_demand.json`: full-saturation vs demand-driven closure timings
-//! and terms-derived counts per scale family, with a verdict-identity
-//! assertion per row, plus the multi-requirement batch comparison.
+//! * `saturation` — closure time and derive attempts on the re-firing-heavy
+//!   families (`wide_grants`, `dense_equalities`); every row asserts its
+//!   attempts, total and per rule, stay within the pinned ceilings, and
+//!   every row the reference engine can afford asserts identity with it.
+//! * `certify` — proof-carrying analysis time against the independent proof
+//!   checker's, asserting certificate completeness and `certify ≤ 2×
+//!   analyze` per row.
+//! * `population` — streamed Zipf-population throughput (closure-cache hit
+//!   rate, steals, evictions) and the work-stealing critical path on the
+//!   clustered-giants skew against the static seed partition's; full runs
+//!   assert the >99% hit rate and the ≥1.5× stealing speedup.
+//! * `incremental` — grant/revoke maintenance against from-scratch
+//!   recomputation on the `edit_trace` family, asserting per-edit term-set
+//!   identity; full runs also assert ≥1.5× on the largest dense row.
 //!
-//! The `saturation` experiment (`-- saturation [--smoke]`) writes
-//! `BENCH_saturation.json`: saturation timings and per-rule
-//! attempted/derived-new counters on the re-firing-heavy families
-//! (`wide_grants`, `dense_equalities`). Every row asserts its derive
-//! attempts — total and per rule — stay within the pinned ceilings, and
-//! every row the reference engine can afford asserts identity with it.
-//!
-//! The `certify` experiment (`-- certify [--smoke]`) writes
-//! `BENCH_certify.json`: proof-carrying analysis time vs the independent
-//! proof checker's certification time per scale family, with a
-//! certificate-completeness assertion and a `certify ≤ 2× analyze`
-//! overhead bound per row.
-//!
-//! The `audit` experiment (`-- audit [--smoke]`) writes `BENCH_audit.json`:
-//! the certified flaw-path report (`secflow audit --format=json`) measured
-//! end to end per policy — proof-carrying analysis time, certify+walk+render
-//! time, flaw paths per second and report size — with a validity assertion
-//! on every rendered report.
-//!
-//! The `population` experiment (`-- population [--smoke]`) writes
-//! `BENCH_population.json`: streamed Zipf-population throughput
-//! (verdicts/sec, closure-cache hit rate, steal/eviction counts) up to a
-//! million users, plus the work-stealing critical path on the
-//! clustered-giants skew workload against the static seed partition's —
-//! full runs assert the >99% hit rate and the ≥1.5× stealing speedup.
-//!
-//! The `incremental` experiment (`-- incremental [--smoke]`) writes
-//! `BENCH_incremental.json`: grant/revoke maintenance time vs from-scratch
-//! recomputation on the `edit_trace` family (small edits against large
-//! closures), per-edit term-set identity asserted — full runs additionally
-//! assert a ≥1.5× maintenance speedup on the largest dense row.
-//!
-//! Every run also writes `BENCH_obs.json` next to the working directory: a
-//! machine-readable metrics blob with per-experiment wall times plus the
-//! closure counters for the canonical stockbroker analysis (see
-//! `secflow_obs` for the format). Pass `--no-obs` to skip it.
+//! An unknown experiment name or flag prints the valid ones on stderr and
+//! exits 2.
 
-use secflow::closure::{Closure, ClosureOptions};
-use secflow::unfold::NProgram;
 use secflow_bench::*;
-use secflow_obs::{MetricsSink, Phases, Recorder};
-use secflow_workloads::stockbroker;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |name: &str| {
-        args.iter().all(|a| a.starts_with("--")) || args.iter().any(|a| a.starts_with(name))
-    };
-    let param = |name: &str, default: usize| {
-        args.iter()
-            .find_map(|a| a.strip_prefix(&format!("{name}=")))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
+/// Every experiment name, in run order. `e3` and `e4` share one run;
+/// `tables` runs only when named.
+const EXPERIMENTS: &[&str] = &[
+    "e1",
+    "e2",
+    "e3",
+    "e4",
+    "e5",
+    "e6",
+    "e7",
+    "e8",
+    "tables",
+    "saturation",
+    "certify",
+    "population",
+    "incremental",
+];
 
-    let mut phases = Phases::new();
-    if want("e1") {
-        phases.time("e1", run_e1);
-    }
-    if want("e2") {
-        phases.time("e2", run_e2);
-    }
-    if want("e3") || want("e4") {
-        phases.time("e3_e4", || run_e3_e4(param("e3", 500)));
-    }
-    if want("e5") {
-        phases.time("e5", run_e5);
-    }
-    if want("e6") {
-        phases.time("e6", run_e6);
-    }
-    if want("e7") {
-        phases.time("e7", run_e7);
-    }
-    if want("e8") {
-        phases.time("e8", || run_e8(param("e8", 60)));
-    }
-    if args.iter().any(|a| a == "tables") {
-        phases.time("tables", run_tables);
-    }
-    if want("fastpath") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let write_json = !args.iter().any(|a| a == "--no-obs");
-        phases.time("fastpath", || run_fastpath(smoke, write_json));
-    }
-    if want("demand") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let write_json = !args.iter().any(|a| a == "--no-obs");
-        phases.time("demand", || run_demand(smoke, write_json));
-    }
-    if want("saturation") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let write_json = !args.iter().any(|a| a == "--no-obs");
-        phases.time("saturation", || run_saturation(smoke, write_json));
-    }
-    if want("certify") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let write_json = !args.iter().any(|a| a == "--no-obs");
-        phases.time("certify", || run_certify(smoke, write_json));
-    }
-    if want("audit") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let write_json = !args.iter().any(|a| a == "--no-obs");
-        phases.time("audit", || run_audit(smoke, write_json));
-    }
-    if want("population") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let write_json = !args.iter().any(|a| a == "--no-obs");
-        phases.time("population", || run_population(smoke, write_json));
-    }
-    if want("incremental") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let write_json = !args.iter().any(|a| a == "--no-obs");
-        phases.time("incremental", || run_incremental(smoke, write_json));
-    }
+/// What one invocation runs.
+struct Plan {
+    /// The experiments named on the command line; none named runs every
+    /// experiment but `tables`.
+    named: Vec<&'static str>,
+    /// CI-sized instances for the gated experiments.
+    smoke: bool,
+    /// Random policies in the E3/E4 corpus (`e3=N`).
+    e3_cases: usize,
+    /// Random policies in the E8 corpus (`e8=N`).
+    e8_cases: usize,
+}
 
-    if !args.iter().any(|a| a == "--no-obs") {
-        write_obs_blob(&phases);
+impl Plan {
+    fn wants(&self, name: &str) -> bool {
+        if self.named.is_empty() {
+            name != "tables"
+        } else {
+            self.named.contains(&name)
+        }
     }
 }
 
-/// Emit `BENCH_obs.json`: the harness phase timings plus the closure
-/// counters for the stockbroker fixture (the paper's running example), so
-/// regressions in both wall time and rule behaviour are diffable across
-/// runs without re-parsing the human-readable tables.
-fn write_obs_blob(phases: &Phases) {
-    let mut rec = Recorder::new();
-    phases.record_to(&mut rec);
-
-    let schema = stockbroker();
-    if let Some(caps) = schema.user_str("clerk") {
-        if let Ok(prog) = NProgram::unfold(&schema, caps) {
-            let (_, stats) = Closure::compute_with_stats(&prog, &ClosureOptions::default());
-            stats.record_to(&mut rec);
-            rec.counter("fixture.program_nodes", prog.len() as u64);
+/// Parse the harness arguments: experiment names (`e3=N` and `e8=N` set a
+/// corpus size) and the `--smoke` flag. Anything else is an error.
+fn parse_args(args: &[String]) -> Result<Plan, String> {
+    let mut plan = Plan {
+        named: Vec::new(),
+        smoke: false,
+        e3_cases: 500,
+        e8_cases: 60,
+    };
+    for arg in args {
+        if arg == "--smoke" {
+            plan.smoke = true;
+            continue;
         }
+        let (name, count) = match arg.split_once('=') {
+            Some((name, count)) => (name, Some(count)),
+            None => (arg.as_str(), None),
+        };
+        let Some(&name) = EXPERIMENTS.iter().find(|&&e| e == name) else {
+            return Err(format!("unknown experiment or flag `{arg}`"));
+        };
+        if let Some(count) = count {
+            let n = count
+                .parse()
+                .map_err(|_| format!("`{arg}`: the case count must be a number"))?;
+            match name {
+                "e3" => plan.e3_cases = n,
+                "e8" => plan.e8_cases = n,
+                _ => return Err(format!("`{name}` takes no case count")),
+            }
+        }
+        plan.named.push(name);
     }
+    Ok(plan)
+}
 
-    let report = rec.into_report();
-    let path = "BENCH_obs.json";
-    match std::fs::write(path, report.to_json().pretty()) {
-        Ok(()) => eprintln!("metrics: wrote {path}"),
-        Err(e) => eprintln!("metrics: could not write {path}: {e}"),
+fn usage() -> String {
+    format!(
+        "usage: harness [EXPERIMENT...] [--smoke]\nexperiments: {} (e3=N and e8=N set the corpus size)",
+        EXPERIMENTS.join(" ")
+    )
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let plan = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("harness: {e}");
+        eprintln!("{}", usage());
+        std::process::exit(2);
+    });
+    if plan.wants("e1") {
+        run_e1();
+    }
+    if plan.wants("e2") {
+        run_e2();
+    }
+    if plan.wants("e3") || plan.wants("e4") {
+        run_e3_e4(plan.e3_cases);
+    }
+    if plan.wants("e5") {
+        run_e5();
+    }
+    if plan.wants("e6") {
+        run_e6();
+    }
+    if plan.wants("e7") {
+        run_e7();
+    }
+    if plan.wants("e8") {
+        run_e8(plan.e8_cases);
+    }
+    if plan.wants("tables") {
+        run_tables();
+    }
+    if plan.wants("saturation") {
+        run_saturation(plan.smoke);
+    }
+    if plan.wants("certify") {
+        run_certify(plan.smoke);
+    }
+    if plan.wants("population") {
+        run_population(plan.smoke);
+    }
+    if plan.wants("incremental") {
+        run_incremental(plan.smoke);
     }
 }
 
@@ -230,7 +228,13 @@ fn run_e3_e4(cases: usize) {
         }
     );
     for v in &report.violations {
-        println!("  !! {} — {:?}", v.requirement, v.witness);
+        println!(
+            "  !! seed {}: {} — {:?}",
+            v.seed, v.case.requirement, v.case.witness
+        );
+        for line in v.schema.lines() {
+            println!("     {line}");
+        }
     }
 }
 
@@ -328,179 +332,7 @@ fn run_tables() {
     }
 }
 
-fn run_fastpath(smoke: bool, write_json: bool) {
-    banner(&format!(
-        "fastpath — interned/dense closure vs the reference engine{}",
-        if smoke { " (smoke sizes)" } else { "" }
-    ));
-    println!(
-        "{:<12} {:>6} {:>8} {:>8} {:>10} {:>10} {:>8} {:>10}",
-        "family", "param", "nodes", "terms", "ref (us)", "fast (us)", "speedup", "identical"
-    );
-    let rows = closure_fastpath(smoke);
-    for r in &rows {
-        println!(
-            "{:<12} {:>6} {:>8} {:>8} {:>10} {:>10} {:>7.2}x {:>10}",
-            r.family,
-            r.param,
-            r.nodes,
-            r.terms,
-            r.ref_micros,
-            r.fast_micros,
-            r.speedup(),
-            if r.identical { "yes" } else { "NO" },
-        );
-    }
-
-    let brows = batch_throughput(smoke);
-    if let Some(first) = brows.first() {
-        println!();
-        println!(
-            "batch driver: {} users x {} requirement(s), one unfold+closure per user",
-            first.users,
-            first.requirements / first.users.max(1)
-        );
-        println!(
-            "host parallelism: {} core(s) — jobs beyond that cannot speed up",
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        );
-        println!("{:>6} {:>12} {:>8}", "jobs", "time (us)", "speedup");
-        let base = first.micros;
-        for b in &brows {
-            let speedup = if b.micros == 0 {
-                f64::INFINITY
-            } else {
-                base as f64 / b.micros as f64
-            };
-            println!("{:>6} {:>12} {:>7.2}x", b.jobs, b.micros, speedup);
-        }
-    }
-
-    if write_json {
-        write_fastpath_blob(&rows, &brows);
-    }
-}
-
-/// Emit `BENCH_closure.json`: per-case old-vs-new closure timings with the
-/// identity check, plus batch-driver wall times per jobs setting.
-fn write_fastpath_blob(rows: &[FastpathRow], brows: &[BatchRow]) {
-    let mut rec = Recorder::new();
-    for r in rows {
-        let key = format!("fastpath.{}.{}", r.family, r.param);
-        rec.counter(&format!("{key}.nodes"), r.nodes as u64);
-        rec.counter(&format!("{key}.terms"), r.terms as u64);
-        rec.counter(&format!("{key}.ref_micros"), r.ref_micros as u64);
-        rec.counter(&format!("{key}.fast_micros"), r.fast_micros as u64);
-        rec.counter(&format!("{key}.identical"), u64::from(r.identical));
-        rec.gauge(&format!("{key}.speedup"), r.speedup());
-    }
-    for b in brows {
-        let key = format!("batch.jobs{}", b.jobs);
-        rec.counter(&format!("{key}.users"), b.users as u64);
-        rec.counter(&format!("{key}.requirements"), b.requirements as u64);
-        rec.counter(&format!("{key}.micros"), b.micros as u64);
-    }
-    let report = rec.into_report();
-    let path = "BENCH_closure.json";
-    match std::fs::write(path, report.to_json().pretty()) {
-        Ok(()) => eprintln!("metrics: wrote {path}"),
-        Err(e) => eprintln!("metrics: could not write {path}: {e}"),
-    }
-}
-
-fn run_demand(smoke: bool, write_json: bool) {
-    banner(&format!(
-        "demand — goal-directed slicing + early exit vs full saturation{}",
-        if smoke { " (smoke sizes)" } else { "" }
-    ));
-    println!(
-        "{:<12} {:>6} {:>8} {:>10} {:>12} {:>10} {:>12} {:>8} {:>6} {:>10}",
-        "family",
-        "param",
-        "nodes",
-        "full terms",
-        "demand terms",
-        "full (us)",
-        "demand (us)",
-        "speedup",
-        "early",
-        "identical"
-    );
-    let rows = demand_vs_full(smoke);
-    for r in &rows {
-        println!(
-            "{:<12} {:>6} {:>8} {:>10} {:>12} {:>10} {:>12} {:>7.2}x {:>6} {:>10}",
-            r.family,
-            r.param,
-            r.nodes,
-            r.full_terms,
-            r.demand_terms,
-            r.full_micros,
-            r.demand_micros,
-            r.speedup(),
-            if r.early_exit { "yes" } else { "no" },
-            if r.identical { "yes" } else { "NO" },
-        );
-        assert!(r.identical, "{}/{}: verdicts diverged", r.family, r.param);
-    }
-
-    let b = demand_batch(smoke);
-    println!();
-    println!(
-        "batch driver: {} user(s) x {} requirement(s), serial, full vs demand",
-        b.users, b.requirements
-    );
-    println!(
-        "  full saturation : {:>10} terms {:>12} us",
-        b.full_terms, b.full_micros
-    );
-    println!(
-        "  demand-driven   : {:>10} terms {:>12} us   ({:.2}x)",
-        b.demand_terms,
-        b.demand_micros,
-        b.speedup()
-    );
-    assert!(b.identical, "batch: verdicts diverged");
-
-    if write_json {
-        write_demand_blob(&rows, &b);
-    }
-}
-
-/// Emit `BENCH_demand.json`: per-family full-vs-demand closure timings and
-/// terms-derived counts (with the verdict-identity bit), plus the batch
-/// full-vs-demand measurement.
-fn write_demand_blob(rows: &[DemandRow], b: &DemandBatchRow) {
-    let mut rec = Recorder::new();
-    for r in rows {
-        let key = format!("demand.{}.{}", r.family, r.param);
-        rec.counter(&format!("{key}.nodes"), r.nodes as u64);
-        rec.counter(&format!("{key}.full_terms"), r.full_terms as u64);
-        rec.counter(&format!("{key}.demand_terms"), r.demand_terms as u64);
-        rec.counter(&format!("{key}.full_micros"), r.full_micros as u64);
-        rec.counter(&format!("{key}.demand_micros"), r.demand_micros as u64);
-        rec.counter(&format!("{key}.early_exit"), u64::from(r.early_exit));
-        rec.counter(&format!("{key}.identical"), u64::from(r.identical));
-        rec.gauge(&format!("{key}.speedup"), r.speedup());
-    }
-    let key = "demand.batch";
-    rec.counter(&format!("{key}.users"), b.users as u64);
-    rec.counter(&format!("{key}.requirements"), b.requirements as u64);
-    rec.counter(&format!("{key}.full_terms"), b.full_terms);
-    rec.counter(&format!("{key}.demand_terms"), b.demand_terms);
-    rec.counter(&format!("{key}.full_micros"), b.full_micros as u64);
-    rec.counter(&format!("{key}.demand_micros"), b.demand_micros as u64);
-    rec.counter(&format!("{key}.identical"), u64::from(b.identical));
-    rec.gauge(&format!("{key}.speedup"), b.speedup());
-    let report = rec.into_report();
-    let path = "BENCH_demand.json";
-    match std::fs::write(path, report.to_json().pretty()) {
-        Ok(()) => eprintln!("metrics: wrote {path}"),
-        Err(e) => eprintln!("metrics: could not write {path}: {e}"),
-    }
-}
-
-fn run_saturation(smoke: bool, write_json: bool) {
+fn run_saturation(smoke: bool) {
     banner(&format!(
         "saturation — closure time and derive attempts against pinned ceilings{}",
         if smoke { " (smoke sizes)" } else { "" }
@@ -576,42 +408,9 @@ fn run_saturation(smoke: bool, write_json: bool) {
             );
         }
     }
-
-    if write_json {
-        write_saturation_blob(&rows);
-    }
 }
 
-fn write_saturation_blob(rows: &[SaturationRow]) {
-    let mut rec = Recorder::new();
-    for r in rows {
-        let key = format!("saturation.{}.{}", r.family, r.param);
-        rec.counter(&format!("{key}.nodes"), r.nodes as u64);
-        rec.counter(&format!("{key}.terms"), r.terms as u64);
-        rec.counter(&format!("{key}.micros"), r.micros as u64);
-        rec.counter(&format!("{key}.derives"), r.derives);
-        if let Some(c) = r.derive_ceiling {
-            rec.counter(&format!("{key}.derive_ceiling"), c);
-        }
-        if let Some(identical) = r.identical {
-            rec.counter(&format!("{key}.identical"), u64::from(identical));
-        }
-        rec.gauge(&format!("{key}.terms_per_sec"), r.terms_per_sec());
-        for rule in &r.rules {
-            let rk = format!("{key}.rule.{}", rule.label);
-            rec.counter(&format!("{rk}.fired"), rule.attempts);
-            rec.counter(&format!("{rk}.new"), rule.new_terms);
-        }
-    }
-    let report = rec.into_report();
-    let path = "BENCH_saturation.json";
-    match std::fs::write(path, report.to_json().pretty()) {
-        Ok(()) => eprintln!("metrics: wrote {path}"),
-        Err(e) => eprintln!("metrics: could not write {path}: {e}"),
-    }
-}
-
-fn run_certify(smoke: bool, write_json: bool) {
+fn run_certify(smoke: bool) {
     banner(&format!(
         "certify — independent proof checker vs proof-carrying analysis{}",
         if smoke { " (smoke sizes)" } else { "" }
@@ -662,96 +461,9 @@ fn run_certify(smoke: bool, write_json: bool) {
     println!();
     println!("every closure re-validated by the checker; `complete` asserts the");
     println!("certificate accounts for every recorded term (axioms + derived).");
-
-    if write_json {
-        write_certify_blob(&rows);
-    }
 }
 
-/// Emit `BENCH_certify.json`: per-family analysis-vs-certification timings
-/// and certificate coverage counts (terms/axioms and the completeness bit),
-/// plus the certify/analyze overhead ratio as a gauge.
-fn write_certify_blob(rows: &[CertifyRow]) {
-    let mut rec = Recorder::new();
-    for r in rows {
-        let key = format!("certify.{}.{}", r.family, r.param);
-        rec.counter(&format!("{key}.nodes"), r.nodes as u64);
-        rec.counter(&format!("{key}.terms"), r.terms as u64);
-        rec.counter(&format!("{key}.axioms"), r.axioms as u64);
-        rec.counter(&format!("{key}.analyze_micros"), r.analyze_micros as u64);
-        rec.counter(&format!("{key}.certify_micros"), r.certify_micros as u64);
-        rec.counter(&format!("{key}.complete"), u64::from(r.complete));
-        rec.gauge(&format!("{key}.overhead"), r.overhead());
-    }
-    let report = rec.into_report();
-    let path = "BENCH_certify.json";
-    match std::fs::write(path, report.to_json().pretty()) {
-        Ok(()) => eprintln!("metrics: wrote {path}"),
-        Err(e) => eprintln!("metrics: could not write {path}: {e}"),
-    }
-}
-
-fn run_audit(smoke: bool, write_json: bool) {
-    banner(&format!(
-        "audit — certified flaw-path reports end to end{}",
-        if smoke { " (smoke sizes)" } else { "" }
-    ));
-    println!(
-        "{:<20} {:>5} {:>8} {:>6} {:>12} {:>12} {:>11} {:>10}",
-        "policy", "reqs", "violated", "paths", "analyze (us)", "render (us)", "paths/sec", "bytes"
-    );
-    let rows = audit_provenance(smoke);
-    for r in &rows {
-        println!(
-            "{:<20} {:>5} {:>8} {:>6} {:>12} {:>12} {:>11.0} {:>10}",
-            r.name,
-            r.requirements,
-            r.violated,
-            r.paths,
-            r.analyze_micros,
-            r.render_micros,
-            r.paths_per_sec(),
-            r.report_bytes,
-        );
-        assert!(r.requirements > 0, "{}: nothing audited", r.name);
-        assert!(
-            r.violated == 0 || r.paths > 0,
-            "{}: violations without provenance",
-            r.name
-        );
-    }
-    println!();
-    println!("every report is schema-versioned JSON whose paths are backed by");
-    println!("certifier-accepted derivations (render = certify + walk + emit).");
-
-    if write_json {
-        write_audit_blob(&rows);
-    }
-}
-
-/// Emit `BENCH_audit.json`: per-policy audit timings, flaw-path counts and
-/// report sizes, plus the paths/second enumeration rate as a gauge.
-fn write_audit_blob(rows: &[AuditRow]) {
-    let mut rec = Recorder::new();
-    for r in rows {
-        let key = format!("audit.{}", r.name);
-        rec.counter(&format!("{key}.requirements"), r.requirements as u64);
-        rec.counter(&format!("{key}.violated"), r.violated as u64);
-        rec.counter(&format!("{key}.paths"), r.paths as u64);
-        rec.counter(&format!("{key}.analyze_micros"), r.analyze_micros as u64);
-        rec.counter(&format!("{key}.render_micros"), r.render_micros as u64);
-        rec.counter(&format!("{key}.report_bytes"), r.report_bytes as u64);
-        rec.gauge(&format!("{key}.paths_per_sec"), r.paths_per_sec());
-    }
-    let report = rec.into_report();
-    let path = "BENCH_audit.json";
-    match std::fs::write(path, report.to_json().pretty()) {
-        Ok(()) => eprintln!("metrics: wrote {path}"),
-        Err(e) => eprintln!("metrics: could not write {path}: {e}"),
-    }
-}
-
-fn run_population(smoke: bool, write_json: bool) {
+fn run_population(smoke: bool) {
     banner(&format!(
         "population — streamed Zipf batches and the skewed-batch critical path{}",
         if smoke { " (smoke sizes)" } else { "" }
@@ -828,67 +540,9 @@ fn run_population(smoke: bool, write_json: bool) {
     println!();
     println!("streamed verdicts buffer nothing per-group; the cache hit rate is");
     println!("the fraction of users served from an already-saturated fingerprint.");
-
-    if write_json {
-        write_population_blob(&rows, &skew);
-    }
 }
 
-/// Emit `BENCH_population.json`: per-population streamed throughput
-/// (verdicts/sec, cache hit rate, steal and eviction counts, hottest
-/// fingerprint group) plus the seed-chunk and work-stealing critical
-/// paths, the stealing wall time and the speedup on the clustered-giants
-/// skew workload.
-fn write_population_blob(rows: &[PopulationRow], skew: &SkewRow) {
-    let mut rec = Recorder::new();
-    for r in rows {
-        let key = format!("population.zipf.{}x{}", r.users, r.fingerprints);
-        rec.counter(&format!("{key}.users"), r.users as u64);
-        rec.counter(&format!("{key}.fingerprints"), r.fingerprints as u64);
-        rec.counter(&format!("{key}.peak_group"), r.peak_group as u64);
-        rec.counter(&format!("{key}.jobs"), r.jobs as u64);
-        rec.counter(&format!("{key}.micros"), r.micros as u64);
-        rec.counter(&format!("{key}.verdicts"), r.verdicts);
-        rec.counter(&format!("{key}.violated"), r.violated);
-        rec.counter(&format!("{key}.steals"), r.steals);
-        rec.counter(&format!("{key}.cache_hits"), r.cache_hits);
-        rec.counter(&format!("{key}.cache_misses"), r.cache_misses);
-        rec.counter(&format!("{key}.cache_evictions"), r.cache_evictions);
-        rec.gauge(&format!("{key}.hit_rate"), r.hit_rate());
-        rec.gauge(&format!("{key}.verdicts_per_sec"), r.verdicts_per_sec());
-    }
-    let key = format!(
-        "population.skew.{}x{}g{}t{}",
-        skew.users, skew.giants, skew.giant_width, skew.tiny_width
-    );
-    rec.counter(&format!("{key}.users"), skew.users as u64);
-    rec.counter(&format!("{key}.giants"), skew.giants as u64);
-    rec.counter(&format!("{key}.giant_width"), skew.giant_width as u64);
-    rec.counter(&format!("{key}.tiny_width"), skew.tiny_width as u64);
-    rec.counter(&format!("{key}.jobs"), skew.jobs as u64);
-    rec.counter(
-        &format!("{key}.fixed_critical_micros"),
-        skew.fixed_critical_micros as u64,
-    );
-    rec.counter(
-        &format!("{key}.stealing_critical_micros"),
-        skew.stealing_critical_micros as u64,
-    );
-    rec.counter(
-        &format!("{key}.stealing_wall_micros"),
-        skew.stealing_wall_micros as u64,
-    );
-    rec.counter(&format!("{key}.steals"), skew.steals);
-    rec.gauge(&format!("{key}.speedup"), skew.speedup());
-    let report = rec.into_report();
-    let path = "BENCH_population.json";
-    match std::fs::write(path, report.to_json().pretty()) {
-        Ok(()) => eprintln!("metrics: wrote {path}"),
-        Err(e) => eprintln!("metrics: could not write {path}: {e}"),
-    }
-}
-
-fn run_incremental(smoke: bool, write_json: bool) {
+fn run_incremental(smoke: bool) {
     banner(&format!(
         "incremental — grant/revoke maintenance vs from-scratch recompute{}",
         if smoke { " (smoke sizes)" } else { "" }
@@ -953,41 +607,6 @@ fn run_incremental(smoke: bool, write_json: bool) {
             );
         }
     }
-    if write_json {
-        write_incremental_blob(&rows);
-    }
-}
-
-/// Emit `BENCH_incremental.json`: per-row maintenance vs recompute timings,
-/// the speedup and edit throughput, the cascade/restart term counters, and
-/// the per-row identity bit.
-fn write_incremental_blob(rows: &[IncrementalRow]) {
-    let mut rec = Recorder::new();
-    for r in rows {
-        let key = format!("incremental.edit_trace.{}.{}x{}", r.family, r.width, r.core);
-        rec.counter(&format!("{key}.width"), r.width as u64);
-        rec.counter(&format!("{key}.core"), r.core as u64);
-        rec.counter(&format!("{key}.edits"), r.edits as u64);
-        rec.counter(&format!("{key}.nodes"), r.nodes as u64);
-        rec.counter(&format!("{key}.terms"), r.terms as u64);
-        rec.counter(
-            &format!("{key}.incremental_micros"),
-            r.incremental_micros as u64,
-        );
-        rec.counter(&format!("{key}.scratch_micros"), r.scratch_micros as u64);
-        rec.counter(&format!("{key}.deleted"), r.deleted);
-        rec.counter(&format!("{key}.rederived"), r.rederived);
-        rec.counter(&format!("{key}.survivors"), r.survivors);
-        rec.counter(&format!("{key}.identical"), u64::from(r.identical));
-        rec.gauge(&format!("{key}.speedup"), r.speedup());
-        rec.gauge(&format!("{key}.edits_per_sec"), r.edits_per_sec());
-    }
-    let report = rec.into_report();
-    let path = "BENCH_incremental.json";
-    match std::fs::write(path, report.to_json().pretty()) {
-        Ok(()) => eprintln!("metrics: wrote {path}"),
-        Err(e) => eprintln!("metrics: could not write {path}: {e}"),
-    }
 }
 
 fn run_e7() {
@@ -1006,4 +625,52 @@ fn run_e7() {
     println!();
     println!("every group except the feedback guard is load-bearing for");
     println!("detection; removing the guard instead adds false alarms.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Plan, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn unknown_names_and_flags_are_rejected() {
+        for args in [
+            &["bogus"][..],
+            &["fastpath", "--smoke"],
+            &["demand"],
+            &["audit"],
+            &["e1", "--no-obs"],
+            &["e9"],
+            &["e1=3"],
+            &["e3=many"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?} must be rejected");
+        }
+        // The rejection message lists every valid experiment.
+        let text = usage();
+        for name in EXPERIMENTS {
+            assert!(text.contains(name), "{name} missing from usage");
+        }
+    }
+
+    #[test]
+    fn named_experiments_and_corpus_sizes_parse() {
+        let plan = parse(&["e3=50", "e8=20", "saturation", "--smoke"]).unwrap();
+        assert_eq!(plan.named, ["e3", "e8", "saturation"]);
+        assert!(plan.smoke);
+        assert_eq!((plan.e3_cases, plan.e8_cases), (50, 20));
+        assert!(plan.wants("e3") && !plan.wants("e1") && !plan.wants("tables"));
+    }
+
+    #[test]
+    fn no_names_run_everything_but_tables() {
+        let plan = parse(&["--smoke"]).unwrap();
+        for name in EXPERIMENTS {
+            assert_eq!(plan.wants(name), *name != "tables", "{name}");
+        }
+        assert!(parse(&["tables"]).unwrap().wants("tables"));
+    }
 }

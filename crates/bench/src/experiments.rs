@@ -1,18 +1,22 @@
-//! The E1–E7 experiment implementations.
+//! The E1–E8 experiment implementations and the gated engine experiments.
 //!
 //! The paper has no measurement tables; its reproducible artefacts are
 //! Figure 1 (a derivation), the two running examples, and the claims of
 //! soundness (Theorem 1), pessimism (§4 closing remark) and tractability
-//! (§1 "reasonable amount of computation"). Each experiment regenerates one
-//! of those; EXPERIMENTS.md records the outcomes.
+//! (§1 "reasonable amount of computation"). Each E-experiment regenerates
+//! one of those; EXPERIMENTS.md records the outcomes. The `saturation`,
+//! `certify`, `population` and `incremental` experiments carry
+//! deterministic gates (derive-attempt ceilings, oracle and term-set
+//! identity, certificate completeness, cache hit rate and critical-path
+//! bounds).
 
 use oodb_engine::exec::run_query;
 use oodb_engine::Database;
 use oodb_lang::{parse_query, parse_requirement};
 use oodb_model::{UserName, Value};
 use secflow::algorithm::{
-    analyze, analyze_batch, analyze_batch_streaming, analyze_with_config, AnalysisConfig,
-    AnalysisSink, BatchOptions, ClosureCache, GroupRecord,
+    analyze, analyze_batch_streaming, analyze_with_config, AnalysisConfig, AnalysisSink,
+    BatchOptions, ClosureCache, GroupRecord,
 };
 use secflow::closure::{Closure, ClosureOptions, ProofMode, DEFAULT_TERM_LIMIT};
 use secflow::reference::RefClosure;
@@ -27,8 +31,8 @@ use secflow_dynamic::worlds::{enumerate_worlds, WorldSpec};
 use secflow_dynamic::{attack_requirement, AttackerConfig};
 use secflow_workloads::random::{random_case, RandomSpec};
 use secflow_workloads::scale::{
-    attr_fanout, call_chain, clustered_giants, deep_expr, dense_equalities, multi_user,
-    multi_user_deep, wide_grants, zipf_population, ScaleCase,
+    attr_fanout, call_chain, clustered_giants, deep_expr, dense_equalities, wide_grants,
+    zipf_population, ScaleCase,
 };
 use secflow_workloads::{fixtures, stockbroker};
 use std::collections::HashMap;
@@ -202,7 +206,7 @@ pub fn e3_e4_differential(cases: usize) -> DiffReport {
     for seed in 0..cases as u64 {
         let case = random_case(seed, &spec);
         for req in &case.requirements {
-            report.record(classify(&case.schema, req, &cfg));
+            report.record(seed, &case.schema, classify(&case.schema, req, &cfg));
         }
     }
     report
@@ -664,7 +668,7 @@ pub fn e7_ablation() -> Vec<E7Row> {
         .collect()
 }
 
-// --------------------------------------------------------------- fastpath
+// ------------------------------------------------------------- saturation
 
 /// Membership-only full saturation under `rules` and the default budget —
 /// the configuration the timed closure rows measure.
@@ -675,248 +679,6 @@ fn proofs_off(rules: RuleConfig) -> ClosureOptions<'static> {
         ..ClosureOptions::default()
     }
 }
-
-/// One old-vs-new closure measurement (`fastpath` experiment).
-pub struct FastpathRow {
-    /// Schema family.
-    pub family: &'static str,
-    /// Size parameter.
-    pub param: usize,
-    /// Unfolded program size (numbered occurrences).
-    pub nodes: usize,
-    /// Closure size (terms) — identical for both engines by construction.
-    pub terms: usize,
-    /// Reference-engine closure time, microseconds.
-    pub ref_micros: u128,
-    /// Fast-path closure time (proofs off), microseconds.
-    pub fast_micros: u128,
-    /// Whether the two closures derived exactly the same term set.
-    pub identical: bool,
-}
-
-impl FastpathRow {
-    /// Reference time over fast time.
-    pub fn speedup(&self) -> f64 {
-        if self.fast_micros == 0 {
-            f64::INFINITY
-        } else {
-            self.ref_micros as f64 / self.fast_micros as f64
-        }
-    }
-}
-
-/// `fastpath` — time the retained reference engine (SipHash maps, always-on
-/// proofs) against the interned dense engine (`ProofMode::Off`) on the E5
-/// schema families, verifying the closures stay term-for-term identical.
-///
-/// `smoke` shrinks every family to CI-sized instances.
-pub fn closure_fastpath(smoke: bool) -> Vec<FastpathRow> {
-    type Gen = fn(usize) -> ScaleCase;
-    let families: [(&'static str, Gen, &'static [usize]); 4] = if smoke {
-        [
-            ("call_chain", call_chain, &[4]),
-            ("wide_grants", wide_grants, &[8]),
-            ("deep_expr", deep_expr, &[3]),
-            ("attr_fanout", attr_fanout, &[4]),
-        ]
-    } else {
-        [
-            ("call_chain", call_chain, &[8, 12]),
-            ("wide_grants", wide_grants, &[32, 64]),
-            ("deep_expr", deep_expr, &[4, 5]),
-            ("attr_fanout", attr_fanout, &[8, 16]),
-        ]
-    };
-    let rules = RuleConfig::default();
-    let mut rows = Vec::new();
-    for (family, gen, params) in families {
-        for &param in params {
-            let case = gen(param);
-            let caps = case.schema.user_str("u").expect("scale user");
-            let prog = NProgram::unfold(&case.schema, caps).expect("scale unfolds");
-            let start = Instant::now();
-            let slow = RefClosure::compute_with(&prog, &rules, DEFAULT_TERM_LIMIT)
-                .expect("reference closure");
-            let ref_micros = start.elapsed().as_micros();
-            let start = Instant::now();
-            let fast = Closure::compute_with(&prog, &proofs_off(rules)).expect("fast closure");
-            let fast_micros = start.elapsed().as_micros();
-            let mut tf: Vec<Term> = fast.iter().collect();
-            let mut ts: Vec<Term> = slow.iter().collect();
-            tf.sort();
-            ts.sort();
-            rows.push(FastpathRow {
-                family,
-                param,
-                nodes: prog.len(),
-                terms: fast.len(),
-                ref_micros,
-                fast_micros,
-                identical: tf == ts,
-            });
-        }
-    }
-    rows
-}
-
-/// One batch-driver throughput measurement.
-pub struct BatchRow {
-    /// Users (= groups) in the workload.
-    pub users: usize,
-    /// Requirements checked.
-    pub requirements: usize,
-    /// Worker threads actually used.
-    pub jobs: usize,
-    /// Wall time for the whole batch, microseconds.
-    pub micros: u128,
-}
-
-/// `fastpath` part 2 — the batch driver on a multi-user workload at
-/// increasing `--jobs`, asserting the verdict vector never drifts.
-pub fn batch_throughput(smoke: bool) -> Vec<BatchRow> {
-    // Each group must be heavy enough (a few ms of closure) for the pool
-    // to beat thread-spawn overhead; smoke just checks agreement.
-    let (users, width) = if smoke { (4, 4) } else { (8, 64) };
-    let case = multi_user(users, width);
-    let config = AnalysisConfig::default();
-    let mut baseline: Option<Vec<bool>> = None;
-    let mut rows = Vec::new();
-    for jobs in [1usize, 2, 4, 8] {
-        if jobs > users {
-            break;
-        }
-        let opts = BatchOptions {
-            jobs,
-            ..BatchOptions::default()
-        };
-        let start = Instant::now();
-        let out = analyze_batch(&case.schema, &case.requirements, &config, &opts);
-        let micros = start.elapsed().as_micros();
-        let verdicts: Vec<bool> = out
-            .verdicts
-            .iter()
-            .map(|v| v.as_ref().expect("batch verdict").is_violated())
-            .collect();
-        match &baseline {
-            None => baseline = Some(verdicts),
-            Some(b) => assert_eq!(b, &verdicts, "batch verdicts drift at jobs={jobs}"),
-        }
-        rows.push(BatchRow {
-            users,
-            requirements: case.requirements.len(),
-            jobs: out.jobs_used,
-            micros,
-        });
-    }
-    rows
-}
-
-// ----------------------------------------------------------------- demand
-
-/// One demand-vs-full measurement on a scale family instance.
-pub struct DemandRow {
-    /// Schema family.
-    pub family: &'static str,
-    /// Size parameter.
-    pub param: usize,
-    /// Unfolded program size (numbered occurrences).
-    pub nodes: usize,
-    /// Terms derived by full saturation.
-    pub full_terms: usize,
-    /// Terms derived by the demand-driven run (slice + early exit).
-    pub demand_terms: usize,
-    /// Full-saturation closure + check time, microseconds.
-    pub full_micros: u128,
-    /// Demand time (occurrence scan + plan + closure + check), microseconds.
-    pub demand_micros: u128,
-    /// Did the demand run stop before draining its sliced worklist?
-    pub early_exit: bool,
-    /// Whether both modes produced the identical verdict (witnesses
-    /// included).
-    pub identical: bool,
-}
-
-impl DemandRow {
-    /// Full time over demand time.
-    pub fn speedup(&self) -> f64 {
-        if self.demand_micros == 0 {
-            f64::INFINITY
-        } else {
-            self.full_micros as f64 / self.demand_micros as f64
-        }
-    }
-}
-
-/// `demand` — time full saturation against the demand-driven engine
-/// (relevance slice + goal-directed early exit) on the E5 schema families,
-/// verifying the verdicts stay byte-identical. Both timings exclude the
-/// shared unfolding; the demand side pays for its occurrence scan and plan
-/// construction inside the measured region.
-///
-/// `smoke` shrinks every family to CI-sized instances.
-pub fn demand_vs_full(smoke: bool) -> Vec<DemandRow> {
-    use secflow::algorithm::{check_against, check_with_occurrences, occurrences};
-    use secflow::demand::DemandPlan;
-    type Gen = fn(usize) -> ScaleCase;
-    let families: [(&'static str, Gen, &'static [usize]); 4] = if smoke {
-        [
-            ("call_chain", call_chain, &[4]),
-            ("wide_grants", wide_grants, &[8]),
-            ("deep_expr", deep_expr, &[3]),
-            ("attr_fanout", attr_fanout, &[4]),
-        ]
-    } else {
-        [
-            ("call_chain", call_chain, &[8, 12]),
-            ("wide_grants", wide_grants, &[32, 64]),
-            ("deep_expr", deep_expr, &[4, 5]),
-            ("attr_fanout", attr_fanout, &[8, 16]),
-        ]
-    };
-    let rules = RuleConfig::default();
-    let mut rows = Vec::new();
-    for (family, gen, params) in families {
-        for &param in params {
-            let case = gen(param);
-            let caps = case.schema.user_str("u").expect("scale user");
-            let prog = NProgram::unfold(&case.schema, caps).expect("scale unfolds");
-
-            let start = Instant::now();
-            let full = Closure::compute_with(&prog, &proofs_off(rules)).expect("full closure");
-            let full_verdict = check_against(&prog, &full, &case.requirement);
-            let full_micros = start.elapsed().as_micros();
-
-            let start = Instant::now();
-            let occs = occurrences(&prog, &case.requirement.target);
-            let plan = DemandPlan::build(&prog, [(&case.requirement, occs.as_slice())]);
-            let demand = Closure::compute_with(
-                &prog,
-                &ClosureOptions {
-                    demand: Some(&plan),
-                    ..proofs_off(rules)
-                },
-            )
-            .expect("demand closure");
-            let demand_verdict = check_with_occurrences(&prog, &demand, &case.requirement, &occs);
-            let demand_micros = start.elapsed().as_micros();
-
-            rows.push(DemandRow {
-                family,
-                param,
-                nodes: prog.len(),
-                full_terms: full.len(),
-                demand_terms: demand.len(),
-                full_micros,
-                demand_micros,
-                early_exit: demand.early_exited(),
-                identical: full_verdict == demand_verdict,
-            });
-        }
-    }
-    rows
-}
-
-// ------------------------------------------------------------- saturation
 
 /// Per-rule derive attempts and insertions for one [`SaturationRow`].
 pub struct SaturationRuleRow {
@@ -1518,164 +1280,6 @@ pub fn certify_overhead(smoke: bool) -> Vec<CertifyRow> {
     rows
 }
 
-/// The `demand` batch measurement: the multi-requirement workload through
-/// the batch driver, full saturation vs. demand-driven.
-pub struct DemandBatchRow {
-    /// Users (= groups) in the workload.
-    pub users: usize,
-    /// Requirements checked.
-    pub requirements: usize,
-    /// Terms derived across all groups, full saturation.
-    pub full_terms: u64,
-    /// Terms derived across all groups, demand-driven.
-    pub demand_terms: u64,
-    /// Full-saturation batch wall time, microseconds.
-    pub full_micros: u128,
-    /// Demand-driven batch wall time, microseconds.
-    pub demand_micros: u128,
-    /// Whether both modes produced identical verdict vectors.
-    pub identical: bool,
-}
-
-impl DemandBatchRow {
-    /// Full time over demand time.
-    pub fn speedup(&self) -> f64 {
-        if self.demand_micros == 0 {
-            f64::INFINITY
-        } else {
-            self.full_micros as f64 / self.demand_micros as f64
-        }
-    }
-}
-
-/// `demand` part 2 — the multi-requirement batch workload,
-/// `full_saturation` against the default demand engine (serial, so the
-/// comparison measures the engines and not the pool). The workload is
-/// [`multi_user_deep`]: each user's closure is deep-expression sized, the
-/// regime the slice prunes. Term counts come from separate
-/// stats-collecting runs so the timed runs stay uninstrumented.
-pub fn demand_batch(smoke: bool) -> DemandBatchRow {
-    let (users, depth) = if smoke { (4, 2) } else { (8, 4) };
-    let case = multi_user_deep(users, depth);
-    let config = AnalysisConfig::default();
-    let opts_full = BatchOptions {
-        full_saturation: true,
-        ..BatchOptions::default()
-    };
-    let opts_demand = BatchOptions::default();
-
-    let start = Instant::now();
-    let full = analyze_batch(&case.schema, &case.requirements, &config, &opts_full);
-    let full_micros = start.elapsed().as_micros();
-    let start = Instant::now();
-    let demand = analyze_batch(&case.schema, &case.requirements, &config, &opts_demand);
-    let demand_micros = start.elapsed().as_micros();
-
-    let count_terms = |full_saturation: bool| {
-        let opts = BatchOptions {
-            collect_stats: true,
-            full_saturation,
-            ..BatchOptions::default()
-        };
-        analyze_batch(&case.schema, &case.requirements, &config, &opts)
-            .groups
-            .iter()
-            .map(|g| g.stats.closure.total_terms())
-            .sum()
-    };
-    DemandBatchRow {
-        users,
-        requirements: case.requirements.len(),
-        full_terms: count_terms(true),
-        demand_terms: count_terms(false),
-        full_micros,
-        demand_micros,
-        identical: full.verdicts == demand.verdicts,
-    }
-}
-
-/// One `audit` measurement: a full provenance audit (proof-carrying batch
-/// analysis, certification, flaw-path walk, JSON report) over one policy.
-pub struct AuditRow {
-    /// Case label.
-    pub name: String,
-    /// Requirements audited.
-    pub requirements: usize,
-    /// Requirements violated.
-    pub violated: usize,
-    /// Flaw paths enumerated across all witnesses.
-    pub paths: usize,
-    /// Proof-carrying batch analysis time, microseconds.
-    pub analyze_micros: u128,
-    /// Certify + walk + render time for the JSON report, microseconds.
-    pub render_micros: u128,
-    /// Size of the rendered JSON report.
-    pub report_bytes: usize,
-}
-
-impl AuditRow {
-    /// Flaw paths enumerated per second of certify+walk+render time.
-    pub fn paths_per_sec(&self) -> f64 {
-        if self.render_micros == 0 {
-            f64::INFINITY
-        } else {
-            self.paths as f64 * 1e6 / self.render_micros as f64
-        }
-    }
-}
-
-/// `audit` — the cost of the certified provenance report on the fixture
-/// policies and the multi-user scaling families: the proof-carrying batch
-/// analysis on one axis, and certification + flaw-path enumeration +
-/// JSON rendering on the other. `smoke` shrinks the sweep to CI sizes.
-pub fn audit_provenance(smoke: bool) -> Vec<AuditRow> {
-    let mut cases: Vec<(String, oodb_lang::Schema)> = vec![
-        ("stockbroker".into(), fixtures::stockbroker()),
-        ("hospital".into(), fixtures::hospital()),
-    ];
-    let sizes: &[(usize, usize)] = if smoke { &[(4, 4)] } else { &[(8, 8), (16, 8)] };
-    for &(users, width) in sizes {
-        let mut case = multi_user(users, width);
-        case.schema.requirements = case.requirements.clone();
-        cases.push((format!("multi_user_{users}x{width}"), case.schema));
-    }
-    let mut rows = Vec::new();
-    for (name, schema) in cases {
-        let opts = secflow_cli::AuditOptions {
-            policy: name.clone(),
-            format: secflow_cli::AuditFormat::Json,
-            severity: None,
-            provenance: secflow::ProvenanceOptions::default(),
-        };
-        // Best-of-three on both phases, matching `certify_overhead`.
-        let (analyze_micros, outcome) = best_of(3, || secflow_cli::audit_batch(&schema, 1));
-        let (render_micros, (report, _code)) =
-            best_of(3, || secflow_cli::render_audit(&schema, &outcome, &opts));
-        let doc = secflow_obs::Json::parse(&report)
-            .unwrap_or_else(|e| panic!("{name}: audit JSON invalid: {e}"));
-        let field = |k: &str| {
-            doc.get(k)
-                .and_then(secflow_obs::Json::as_u64)
-                .unwrap_or_else(|| panic!("{name}: audit JSON missing {k}"))
-        };
-        rows.push(AuditRow {
-            requirements: field("requirements") as usize,
-            violated: field("violated") as usize,
-            paths: doc
-                .get("summary")
-                .and_then(|s| s.get("paths"))
-                .and_then(secflow_obs::Json::as_u64)
-                .unwrap_or_else(|| panic!("{name}: audit JSON missing summary.paths"))
-                as usize,
-            analyze_micros,
-            render_micros,
-            report_bytes: report.len(),
-            name,
-        });
-    }
-    rows
-}
-
 // ----------------------------------------------------------- population
 
 /// One Zipf-population streaming throughput measurement: verdicts/sec is
@@ -2192,41 +1796,6 @@ mod tests {
     }
 
     #[test]
-    fn audit_smoke_reports_are_valid_and_productive() {
-        for r in audit_provenance(true) {
-            assert!(r.requirements > 0, "{}: nothing audited", r.name);
-            assert!(
-                r.violated == 0 || r.paths > 0,
-                "{}: violations without provenance",
-                r.name
-            );
-            assert!(r.report_bytes > 0, "{}: empty report", r.name);
-        }
-    }
-
-    #[test]
-    fn demand_smoke_verdicts_identical_and_sliced() {
-        for r in demand_vs_full(true) {
-            assert!(r.identical, "{} {} verdicts diverged", r.family, r.param);
-            assert!(
-                r.demand_terms > 0,
-                "{} {} empty demand run",
-                r.family,
-                r.param
-            );
-            assert!(
-                r.demand_terms <= r.full_terms,
-                "{} {}: demand derived more than full",
-                r.family,
-                r.param
-            );
-        }
-        let b = demand_batch(true);
-        assert!(b.identical, "batch verdicts diverged");
-        assert!(b.demand_terms <= b.full_terms);
-    }
-
-    #[test]
     fn saturation_smoke_matches_the_oracle_within_ceilings() {
         for r in saturation_engine(true) {
             assert_eq!(r.identical, Some(true), "{} {} diverged", r.family, r.param);
@@ -2336,24 +1905,6 @@ mod tests {
         );
         assert_eq!(r.ideal_not_static, 0, "Theorem 1 over the E8 corpus");
         assert!(r.static_flags >= r.ideal_flags);
-    }
-
-    #[test]
-    fn fastpath_smoke_closures_identical() {
-        for r in closure_fastpath(true) {
-            assert!(r.identical, "{} {} diverged", r.family, r.param);
-            assert!(r.terms > 0, "{} {} empty closure", r.family, r.param);
-        }
-    }
-
-    #[test]
-    fn batch_throughput_smoke_covers_serial_and_parallel() {
-        let rows = batch_throughput(true);
-        assert!(rows.len() >= 2, "need jobs=1 and a parallel point");
-        assert_eq!(rows[0].jobs, 1);
-        for r in &rows {
-            assert_eq!(r.requirements, r.users);
-        }
     }
 
     #[test]

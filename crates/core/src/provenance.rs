@@ -282,7 +282,7 @@ pub fn audit_witness(
 }
 
 /// Number of distinct terms in the proof DAG below `sink` (sink included).
-/// A cheap size measure for reports and the bench harness.
+/// A cheap size measure for reports.
 pub fn reachable_terms(closure: &Closure, sink: &Term) -> Result<usize, ProvenanceError> {
     if closure.proof_mode() == ProofMode::Off {
         return Err(ProvenanceError::NoProofs);

@@ -5,7 +5,7 @@
 //! SipHash `HashSet<Term>`, capability indexes are `HashMap<ExprId, Vec<…>>`,
 //! proofs are always recorded, and the hot loops clone their index snapshots
 //! instead of iterating in place. It exists so the differential tests (and
-//! the `closure_fastpath` bench experiment) can assert that the interned,
+//! the `saturation` bench experiment) can assert that the interned,
 //! dense-table engine derives *exactly* the same term set, witnesses and
 //! verdicts — byte for byte — on every workload.
 //!

@@ -52,6 +52,18 @@ pub struct DiffCase {
     pub witness: Option<String>,
 }
 
+/// A recorded soundness violation: the dynamic-only case plus what it
+/// takes to reproduce it.
+#[derive(Clone, Debug)]
+pub struct Violation {
+    /// The corpus seed the case was generated from.
+    pub seed: u64,
+    /// The case's schema, rendered in the policy language.
+    pub schema: String,
+    /// The dynamic-only case.
+    pub case: DiffCase,
+}
+
 /// Errors from either side.
 #[derive(Clone, Debug)]
 pub enum DiffError {
@@ -106,20 +118,24 @@ pub struct DiffReport {
     pub neither: usize,
     /// Cases that errored out (bounds) — excluded from the rates.
     pub errors: usize,
-    /// The dynamic-only witnesses, for debugging.
-    pub violations: Vec<DiffCase>,
+    /// The dynamic-only cases, each with its seed and schema.
+    pub violations: Vec<Violation>,
 }
 
 impl DiffReport {
-    /// Record one case.
-    pub fn record(&mut self, case: Result<DiffCase, DiffError>) {
+    /// Record one case of `schema`, generated from corpus seed `seed`.
+    pub fn record(&mut self, seed: u64, schema: &Schema, case: Result<DiffCase, DiffError>) {
         match case {
             Ok(c) => match c.outcome {
                 DiffOutcome::BothFlag => self.both += 1,
                 DiffOutcome::StaticOnly => self.static_only += 1,
                 DiffOutcome::DynamicOnly => {
                     self.dynamic_only += 1;
-                    self.violations.push(c);
+                    self.violations.push(Violation {
+                        seed,
+                        schema: schema.to_string(),
+                        case: c,
+                    });
                 }
                 DiffOutcome::Neither => self.neither += 1,
             },
@@ -222,19 +238,39 @@ mod tests {
 
     #[test]
     fn report_aggregation() {
+        let schema = Schema::default();
         let mut r = DiffReport::default();
-        r.record(Ok(DiffCase {
-            requirement: "x".into(),
-            outcome: DiffOutcome::BothFlag,
-            witness: None,
-        }));
-        r.record(Ok(DiffCase {
-            requirement: "y".into(),
-            outcome: DiffOutcome::StaticOnly,
-            witness: None,
-        }));
+        r.record(
+            0,
+            &schema,
+            Ok(DiffCase {
+                requirement: "x".into(),
+                outcome: DiffOutcome::BothFlag,
+                witness: None,
+            }),
+        );
+        r.record(
+            1,
+            &schema,
+            Ok(DiffCase {
+                requirement: "y".into(),
+                outcome: DiffOutcome::StaticOnly,
+                witness: None,
+            }),
+        );
         assert_eq!(r.total(), 2);
         assert!(r.is_sound());
+        r.record(
+            7,
+            &schema,
+            Ok(DiffCase {
+                requirement: "z".into(),
+                outcome: DiffOutcome::DynamicOnly,
+                witness: Some("w".into()),
+            }),
+        );
+        assert!(!r.is_sound());
+        assert_eq!(r.violations[0].seed, 7, "a violation carries its seed");
         assert!((r.realised_alarm_rate() - 0.5).abs() < 1e-9);
         let text = r.to_string();
         assert!(text.contains("both-flag    : 1"));

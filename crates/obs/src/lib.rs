@@ -19,8 +19,6 @@
 //!   machine-readable JSON export;
 //! * [`json`] — a dependency-free JSON value type, writer and parser (the
 //!   build environment is offline, so no serde);
-//! * [`profile`] — process-global profiling hooks: install a callback and
-//!   every [`profile::scope`] in the pipeline reports its wall-clock to it;
 //! * [`trace`] — structured span/instant trace events with monotonic
 //!   timestamps, encoded as JSON Lines or Chrome `trace_event` JSON
 //!   (Perfetto-loadable).
@@ -34,7 +32,6 @@
 
 pub mod counters;
 pub mod json;
-pub mod profile;
 pub mod report;
 pub mod sink;
 pub mod time;

@@ -71,39 +71,74 @@ fn golden_file_is_valid_and_schema_versioned() {
 
 #[test]
 fn every_reported_path_is_backed_by_accepted_derivations() {
-    let schema = secflow_cli::load_str(&stockbroker_source()).unwrap();
-    let outcome = audit_batch(&schema, 1);
-    let mut checked = 0usize;
-    for (i, verdict) in outcome.verdicts.iter().enumerate() {
-        let Ok(secflow::Verdict::Violated(violations)) = verdict else {
-            continue;
-        };
-        let g = outcome
-            .groups
-            .iter()
-            .find(|g| g.req_indexes.contains(&i))
-            .unwrap();
-        let (prog, closure) = g.artifacts.as_ref().unwrap();
-        // The certifier accepts the whole store…
-        closure
-            .certify(prog, &secflow::rules::RuleConfig::default())
-            .expect("audit closures certify");
-        // …and each path's consecutive steps follow recorded premise edges.
-        for v in violations {
-            for w in &v.witnesses {
-                let paths = secflow::flaw_paths(closure, w, &ProvenanceOptions::default()).unwrap();
-                assert!(!paths.is_empty());
-                for p in &paths {
-                    for pair in p.steps.windows(2) {
-                        let d = closure.proof(&pair[0].term).unwrap();
-                        assert!(d.premises.contains(&pair[1].term));
-                        checked += 1;
+    let mut multi = secflow_workloads::scale::multi_user(4, 4);
+    multi.schema.requirements = multi.requirements.clone();
+    let cases = [
+        (
+            "stockbroker",
+            secflow_cli::load_str(&stockbroker_source()).unwrap(),
+        ),
+        ("hospital", secflow_workloads::fixtures::hospital()),
+        ("multi_user_4x4", multi.schema),
+    ];
+    for (name, schema) in cases {
+        let outcome = audit_batch(&schema, 1);
+        let mut checked = 0usize;
+        for (i, verdict) in outcome.verdicts.iter().enumerate() {
+            let Ok(secflow::Verdict::Violated(violations)) = verdict else {
+                continue;
+            };
+            let g = outcome
+                .groups
+                .iter()
+                .find(|g| g.req_indexes.contains(&i))
+                .unwrap();
+            let (prog, closure) = g.artifacts.as_ref().unwrap();
+            // The certifier accepts the whole store…
+            closure
+                .certify(prog, &secflow::rules::RuleConfig::default())
+                .expect("audit closures certify");
+            // …and each path's consecutive steps follow recorded premise edges.
+            for v in violations {
+                for w in &v.witnesses {
+                    let paths =
+                        secflow::flaw_paths(closure, w, &ProvenanceOptions::default()).unwrap();
+                    assert!(!paths.is_empty(), "{name}: witness without paths");
+                    for p in &paths {
+                        for pair in p.steps.windows(2) {
+                            let d = closure.proof(&pair[0].term).unwrap();
+                            assert!(d.premises.contains(&pair[1].term));
+                            checked += 1;
+                        }
                     }
                 }
             }
         }
+        if name == "stockbroker" {
+            assert!(checked > 0, "the stockbroker policy has flaw paths");
+        }
+
+        // The rendered report is valid JSON, audits something, and backs
+        // every violation with at least one flaw path.
+        let opts = AuditOptions {
+            policy: name.into(),
+            ..stockbroker_opts()
+        };
+        let (report, _) = render_audit(&schema, &outcome, &opts);
+        assert!(!report.is_empty(), "{name}: empty report");
+        let doc = Json::parse(&report).unwrap_or_else(|e| panic!("{name}: invalid JSON: {e}"));
+        let field = |k: &str| doc.get(k).and_then(Json::as_u64).unwrap();
+        let paths = doc
+            .get("summary")
+            .and_then(|s| s.get("paths"))
+            .and_then(Json::as_u64)
+            .unwrap();
+        assert!(field("requirements") > 0, "{name}: nothing audited");
+        assert!(
+            field("violated") == 0 || paths > 0,
+            "{name}: violations without provenance"
+        );
     }
-    assert!(checked > 0, "the stockbroker policy has flaw paths");
 }
 
 #[test]

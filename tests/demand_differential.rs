@@ -143,29 +143,43 @@ fn scale_families_verdicts_and_closures_identical() {
 
 #[test]
 fn multi_user_batch_demand_matches_full_saturation() {
-    let case = scale::multi_user(4, 8);
     let config = AnalysisConfig::default();
-    for jobs in [1, 4] {
-        let demand = analyze_batch(
-            &case.schema,
-            &case.requirements,
-            &config,
-            &BatchOptions {
-                jobs,
-                ..BatchOptions::default()
-            },
-        );
-        let full = analyze_batch(
-            &case.schema,
-            &case.requirements,
-            &config,
-            &BatchOptions {
-                jobs,
-                full_saturation: true,
-                ..BatchOptions::default()
-            },
-        );
-        assert_eq!(demand.verdicts, full.verdicts, "jobs={jobs}");
+    for (label, case) in [
+        ("multi_user", scale::multi_user(4, 8)),
+        ("multi_user_deep", scale::multi_user_deep(4, 2)),
+    ] {
+        for jobs in [1, 4] {
+            let run = |full_saturation: bool, collect_stats: bool| {
+                analyze_batch(
+                    &case.schema,
+                    &case.requirements,
+                    &config,
+                    &BatchOptions {
+                        jobs,
+                        full_saturation,
+                        collect_stats,
+                        ..BatchOptions::default()
+                    },
+                )
+            };
+            assert_eq!(
+                run(false, false).verdicts,
+                run(true, false).verdicts,
+                "{label} jobs={jobs}"
+            );
+            // Terms derived across all groups, from stats-collecting runs.
+            let terms = |full_saturation: bool| -> u64 {
+                run(full_saturation, true)
+                    .groups
+                    .iter()
+                    .map(|g| g.stats.closure.total_terms())
+                    .sum()
+            };
+            assert!(
+                terms(false) <= terms(true),
+                "{label} jobs={jobs}: demand derived more than full"
+            );
+        }
     }
 }
 

@@ -47,7 +47,7 @@ fn no_dynamic_only_cases_in_corpus() {
                     c.witness
                 );
             }
-            report.record(res);
+            report.record(seed, &case.schema, res);
         }
     }
     // The corpus must be non-trivial: some true positives and some
