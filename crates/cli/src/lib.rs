@@ -1812,7 +1812,7 @@ fn attack_report(schema: &Schema, steps: usize) -> (String, i32) {
 }
 
 fn fix_report(schema: &Schema) -> (String, i32) {
-    use secflow::advisor::{advise, Advice, AdvisorConfig};
+    use secflow::advisor::{advise, Advice};
     let mut out = String::new();
     if schema.requirements.is_empty() {
         let _ = writeln!(out, "no `require` declarations — nothing to fix");
@@ -1820,7 +1820,7 @@ fn fix_report(schema: &Schema) -> (String, i32) {
     }
     let mut flawed = 0usize;
     for req in &schema.requirements {
-        match advise(schema, req, &AdvisorConfig::default()) {
+        match advise(schema, req) {
             Ok(Advice::AlreadySatisfied) => {
                 let _ = writeln!(out, "ok    {req}");
             }

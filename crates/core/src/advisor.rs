@@ -22,7 +22,7 @@
 //! search over the schema), so the exponential worst case is irrelevant in
 //! practice; a budget caps pathological inputs.
 
-use crate::algorithm::{analyze_with_config, AnalysisConfig, AnalysisError};
+use crate::algorithm::{analyze_caps, AnalysisConfig, AnalysisError};
 use oodb_lang::requirement::Requirement;
 use oodb_lang::Schema;
 use oodb_model::{CapabilityList, FnRef};
@@ -63,32 +63,18 @@ pub enum Advice {
     BudgetExhausted(Vec<Repair>),
 }
 
-/// Search configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct AdvisorConfig {
-    /// Analysis settings used for each probe.
-    pub analysis: AnalysisConfig,
-    /// Maximum number of `A(R)` invocations.
-    pub probe_budget: usize,
-    /// Maximum revocation-set size to consider.
-    pub max_revocations: usize,
-}
+/// Maximum number of `A(R)` probes per requirement.
+const PROBE_BUDGET: usize = 512;
+/// Largest revocation set considered.
+const MAX_REVOCATIONS: usize = 3;
 
-impl Default for AdvisorConfig {
-    fn default() -> AdvisorConfig {
-        AdvisorConfig {
-            analysis: AnalysisConfig::default(),
-            probe_budget: 512,
-            max_revocations: 3,
-        }
-    }
-}
-
-/// Find minimal revocation sets for `req` against `schema`.
+/// Find minimal revocation sets for `req` against `schema`. Each probe is
+/// one [`analyze_caps`] call on the trial capability list, under the
+/// default analysis configuration.
 ///
 /// ```
 /// use oodb_lang::{check_schema, parse_requirement, parse_schema};
-/// use secflow::advisor::{advise, Advice, AdvisorConfig};
+/// use secflow::advisor::{advise, Advice};
 /// use oodb_model::FnRef;
 ///
 /// let schema = parse_schema(r#"
@@ -99,7 +85,7 @@ impl Default for AdvisorConfig {
 /// check_schema(&schema).unwrap();
 ///
 /// let req = parse_requirement("(clerk, r_salary(x) : ti)").unwrap();
-/// match advise(&schema, &req, &AdvisorConfig::default()).unwrap() {
+/// match advise(&schema, &req).unwrap() {
 ///     Advice::Repairs(repairs) => {
 ///         // The paper's own repair: drop the budget write.
 ///         assert!(repairs.iter().any(|r| r.revoke == vec![FnRef::write("budget")]));
@@ -107,24 +93,19 @@ impl Default for AdvisorConfig {
 ///     other => panic!("expected repairs, got {other:?}"),
 /// }
 /// ```
-pub fn advise(
-    schema: &Schema,
-    req: &Requirement,
-    config: &AdvisorConfig,
-) -> Result<Advice, AnalysisError> {
+pub fn advise(schema: &Schema, req: &Requirement) -> Result<Advice, AnalysisError> {
     let caps = schema
         .user(&req.user)
-        .ok_or_else(|| AnalysisError::UnknownUser(req.user.to_string()))?
-        .clone();
+        .ok_or_else(|| AnalysisError::UnknownUser(req.user.to_string()))?;
+    let config = AnalysisConfig::default();
     let probes = std::cell::Cell::new(0usize);
     let run = |list: &CapabilityList| -> Result<bool, AnalysisError> {
         probes.set(probes.get() + 1);
-        let mut s = schema.clone();
-        s.users.insert(req.user.clone(), list.clone());
-        Ok(analyze_with_config(&s, req, &config.analysis)?.is_violated())
+        let verdicts = analyze_caps(schema, list, std::slice::from_ref(req), &config)?;
+        Ok(verdicts[0].is_violated())
     };
 
-    if !run(&caps)? {
+    if !run(caps)? {
         return Ok(Advice::AlreadySatisfied);
     }
     // If even revoking everything does not help, give up early.
@@ -136,9 +117,9 @@ pub fn advise(
     let mut repairs: Vec<Repair> = Vec::new();
     let mut exhausted = false;
 
-    'sizes: for size in 1..=config.max_revocations.min(grants.len()) {
+    'sizes: for size in 1..=MAX_REVOCATIONS.min(grants.len()) {
         for combo in combinations(grants.len(), size) {
-            if probes.get() >= config.probe_budget {
+            if probes.get() >= PROBE_BUDGET {
                 exhausted = true;
                 break 'sizes;
             }
@@ -161,7 +142,7 @@ pub fn advise(
     }
 
     if repairs.is_empty() {
-        // Nothing within max_revocations; the full revocation works but is
+        // Nothing within MAX_REVOCATIONS; the full revocation works but is
         // not minimal within the budget.
         if exhausted {
             Ok(Advice::BudgetExhausted(Vec::new()))
@@ -241,7 +222,7 @@ mod tests {
         // The paper's fix: drop w_budget, keep checkBudget (and r_name).
         let s = schema();
         let req = parse_requirement("(clerk, r_salary(x) : ti)").unwrap();
-        let advice = advise(&s, &req, &AdvisorConfig::default()).unwrap();
+        let advice = advise(&s, &req).unwrap();
         match advice {
             Advice::Repairs(repairs) => {
                 // Minimal single revocations: w_budget alone or checkBudget
@@ -271,7 +252,7 @@ mod tests {
         // requirement the clerk really satisfies:
         let _ = req;
         let req = parse_requirement("(clerk, w_salary(x, v: ta))").unwrap();
-        let advice = advise(&s, &req, &AdvisorConfig::default()).unwrap();
+        let advice = advise(&s, &req).unwrap();
         assert_eq!(advice, Advice::AlreadySatisfied);
     }
 
@@ -279,7 +260,7 @@ mod tests {
     fn direct_grant_repairs_to_revoking_it() {
         let s = schema();
         let req = parse_requirement("(reader, r_salary(x) : ti)").unwrap();
-        let advice = advise(&s, &req, &AdvisorConfig::default()).unwrap();
+        let advice = advise(&s, &req).unwrap();
         match advice {
             Advice::Repairs(repairs) => {
                 assert_eq!(
@@ -295,14 +276,33 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_is_reported() {
-        let s = schema();
+        // checkBudget, w_budget and 20 irrelevant reads: 2 + 22 + 190 probes
+        // by size 2 (supersets of the two size-1 repairs are skipped), then
+        // 1 140 size-3 candidates — more than the 512-probe budget allows.
+        let attrs: Vec<String> = (0..20).map(|i| format!("a{i}: int")).collect();
+        let reads: Vec<String> = (0..20).map(|i| format!("r_a{i}")).collect();
+        let s = parse_schema(&format!(
+            r#"
+            class Broker {{ salary: int, budget: int, {} }}
+            fn checkBudget(b: Broker): bool {{ r_budget(b) >= 10 * r_salary(b) }}
+            user clerk {{ checkBudget, w_budget, {} }}
+            "#,
+            attrs.join(", "),
+            reads.join(", ")
+        ))
+        .unwrap();
+        oodb_lang::check_schema(&s).unwrap();
         let req = parse_requirement("(clerk, r_salary(x) : ti)").unwrap();
-        let cfg = AdvisorConfig {
-            probe_budget: 3, // initial check + empty check + 1 probe
-            ..AdvisorConfig::default()
-        };
-        let advice = advise(&s, &req, &cfg).unwrap();
-        assert!(matches!(advice, Advice::BudgetExhausted(_)));
+        match advise(&s, &req).unwrap() {
+            Advice::BudgetExhausted(repairs) => {
+                let mut revoked: Vec<FnRef> = repairs.into_iter().flat_map(|r| r.revoke).collect();
+                revoked.sort();
+                let mut expected = vec![FnRef::access("checkBudget"), FnRef::write("budget")];
+                expected.sort();
+                assert_eq!(revoked, expected, "the size-1 repairs survive exhaustion");
+            }
+            other => panic!("expected an exhausted budget, got {other:?}"),
+        }
     }
 
     #[test]

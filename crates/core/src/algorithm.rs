@@ -190,6 +190,25 @@ pub fn analyze_with_config(
     .expect("one requirement, one verdict")
 }
 
+/// Run `A(R)` for every requirement in `reqs` against an explicit
+/// capability list; the requirements' user field is not consulted. One
+/// uncached, demand-driven group through the body behind every batch:
+/// verdicts come back in `reqs` order, and a failure of the shared phases
+/// (unfold or closure budget) fails the call. The repair advisor's probes
+/// and the dynamic guard's exercised sets run through here.
+pub fn analyze_caps(
+    schema: &Schema,
+    caps: &CapabilityList,
+    reqs: &[Requirement],
+    config: &AnalysisConfig,
+) -> Result<Vec<Verdict>, AnalysisError> {
+    let reqs: Vec<&Requirement> = reqs.iter().collect();
+    // The group's bookkeeping is discarded, so it names no user.
+    let mut group = BatchGroup::new(UserName::new(""), Vec::new());
+    let opts = BatchOptions::default();
+    run_group(schema, config, &opts, None, caps, &reqs, &mut group)
+}
+
 /// Everything measured during one group's run: per-phase wall-clock
 /// (unfold → closure → check) plus the closure's own counters.
 #[derive(Clone, Debug, Default)]
@@ -458,6 +477,19 @@ pub struct BatchGroup {
     /// The shared unfolding and closure, when
     /// [`BatchOptions::keep_artifacts`] and the shared phases succeeded.
     pub artifacts: Option<(NProgram, Closure)>,
+}
+
+impl BatchGroup {
+    fn new(user: UserName, req_indexes: Vec<usize>) -> BatchGroup {
+        BatchGroup {
+            user,
+            check_times: Vec::with_capacity(req_indexes.len()),
+            check_occurrences: Vec::with_capacity(req_indexes.len()),
+            req_indexes,
+            stats: AnalysisStats::default(),
+            artifacts: None,
+        }
+    }
 }
 
 /// The result of [`analyze_batch`].
@@ -1064,7 +1096,18 @@ where
     let jobs = effective_jobs(opts.jobs).min(n_groups.max(1));
     let work = |state: &mut S, gi: usize| {
         let (user, idxs) = &grouped[gi];
-        let (group, verdicts) = run_group(schema, reqs, config, opts, user, idxs, scope);
+        let mut group = BatchGroup::new(user.clone(), idxs.clone());
+        let outcome = match schema.user(user) {
+            Some(caps) => {
+                let group_reqs: Vec<&Requirement> = idxs.iter().map(|&i| &reqs[i]).collect();
+                run_group(schema, config, opts, scope, caps, &group_reqs, &mut group)
+            }
+            None => Err(AnalysisError::UnknownUser(user.to_string())),
+        };
+        let verdicts: GroupVerdicts = match outcome {
+            Ok(vs) => idxs.iter().copied().zip(vs.into_iter().map(Ok)).collect(),
+            Err(e) => idxs.iter().map(|&i| (i, Err(e.clone()))).collect(),
+        };
         done(state, gi, group, verdicts);
     };
     let (states, steals) = if jobs <= 1 {
@@ -1416,28 +1459,21 @@ fn demand_plan<'r>(
     DemandPlan::build(prog, pairs.iter().map(|(r, o)| (*r, o.as_slice())))
 }
 
-/// `A(R)` for one user group — the body behind every analysis entry point:
-/// serve the group from the cache when it is eligible; otherwise unfold,
-/// build the demand plan (demand-driven groups only), and saturate. Then
-/// check every requirement against the shared closure.
+/// `A(R)` for one group's capability list — the body behind every analysis
+/// entry point: serve the group from the cache when it is eligible;
+/// otherwise unfold, build the demand plan (demand-driven groups only), and
+/// saturate. Then check every requirement of `reqs` against the shared
+/// closure, recording the group's bookkeeping on `group`. Verdicts are in
+/// `reqs` order; a failure of the shared phases fails the whole group.
 fn run_group(
     schema: &Schema,
-    reqs: &[Requirement],
     config: &AnalysisConfig,
     opts: &BatchOptions,
-    user: &UserName,
-    req_indexes: &[usize],
     scope: Option<&CacheScope<'_>>,
-) -> (BatchGroup, GroupVerdicts) {
-    let mut group = BatchGroup {
-        user: user.clone(),
-        req_indexes: req_indexes.to_vec(),
-        stats: AnalysisStats::default(),
-        check_times: Vec::with_capacity(req_indexes.len()),
-        check_occurrences: Vec::with_capacity(req_indexes.len()),
-        artifacts: None,
-    };
-    let group_reqs: Vec<&Requirement> = req_indexes.iter().map(|&i| &reqs[i]).collect();
+    caps: &CapabilityList,
+    reqs: &[&Requirement],
+    group: &mut BatchGroup,
+) -> Result<Vec<Verdict>, AnalysisError> {
     // Demand-driven saturation answers exactly the goal queries the checks
     // below will make; anything that inspects the closure beyond those
     // queries (proof rendering, kept artifacts) needs the full fixpoint.
@@ -1447,58 +1483,47 @@ fn run_group(
     let scope = scope.filter(|_| demand && !opts.collect_stats);
     let mut memo = OccMemo::default();
     let stats = &mut group.stats;
-    let shared: Result<SharedArtifacts, AnalysisError> = (|| {
-        let caps = schema
-            .user(user)
-            .ok_or_else(|| AnalysisError::UnknownUser(user.to_string()))?;
-        if let Some(scope) = scope {
-            let (prog, closure, cached_memo) = stats
-                .phases
-                .time("closure", || demand_shared_cached(scope, caps, &group_reqs))?;
-            stats.program_nodes = prog.len() as u64;
-            memo = cached_memo;
-            return Ok(SharedArtifacts::Shared(prog, closure));
-        }
+    let shared = if let Some(scope) = scope {
+        let (prog, closure, cached_memo) = stats
+            .phases
+            .time("closure", || demand_shared_cached(scope, caps, reqs))?;
+        stats.program_nodes = prog.len() as u64;
+        memo = cached_memo;
+        SharedArtifacts::Shared(prog, closure)
+    } else {
         let prog = stats
             .phases
             .time("unfold", || unfold(schema, caps, config))?;
         stats.program_nodes = prog.len() as u64;
         let closure = stats.phases.time("closure", || {
-            let plan = demand.then(|| demand_plan(&prog, &mut memo, group_reqs.iter().copied()));
+            let plan = demand.then(|| demand_plan(&prog, &mut memo, reqs.iter().copied()));
             saturate(
                 &prog,
                 &config.closure_options(opts.proofs, plan.as_ref()),
                 opts.collect_stats.then_some(&mut stats.closure),
             )
         })?;
-        Ok(SharedArtifacts::Owned(Box::new((prog, closure))))
-    })();
+        SharedArtifacts::Owned(Box::new((prog, closure)))
+    };
 
-    let mut verdicts = Vec::with_capacity(req_indexes.len());
-    match shared {
-        Err(e) => verdicts.extend(req_indexes.iter().map(|&i| (i, Err(e.clone())))),
-        Ok(shared) => {
-            let prog = shared.prog();
-            let closure = shared.closure();
-            let mut check_total = Duration::ZERO;
-            for (&i, req) in req_indexes.iter().zip(&group_reqs) {
-                let start = Instant::now();
-                let occs = memo.get(prog, &req.target);
-                group.check_occurrences.push(occs.len() as u64);
-                group.stats.occurrences_checked += occs.len() as u64;
-                let v = check_with_occurrences(prog, closure, req, &occs);
-                let elapsed = start.elapsed();
-                check_total += elapsed;
-                group.check_times.push(elapsed);
-                verdicts.push((i, Ok(v)));
-            }
-            group.stats.phases.add("check", check_total);
-            if opts.keep_artifacts {
-                group.artifacts = shared.into_owned();
-            }
-        }
+    let (prog, closure) = (shared.prog(), shared.closure());
+    let mut verdicts = Vec::with_capacity(reqs.len());
+    let mut check_total = Duration::ZERO;
+    for req in reqs {
+        let start = Instant::now();
+        let occs = memo.get(prog, &req.target);
+        group.check_occurrences.push(occs.len() as u64);
+        group.stats.occurrences_checked += occs.len() as u64;
+        verdicts.push(check_with_occurrences(prog, closure, req, &occs));
+        let elapsed = start.elapsed();
+        check_total += elapsed;
+        group.check_times.push(elapsed);
     }
-    (group, verdicts)
+    group.stats.phases.add("check", check_total);
+    if opts.keep_artifacts {
+        group.artifacts = shared.into_owned();
+    }
+    Ok(verdicts)
 }
 
 #[cfg(test)]

@@ -67,11 +67,11 @@ pub mod stats;
 pub mod term;
 pub mod unfold;
 
-pub use advisor::{advise, Advice, AdvisorConfig, Repair};
+pub use advisor::{advise, Advice, Repair};
 pub use algorithm::{
-    analyze, analyze_batch, analyze_batch_cached, analyze_with_config, AnalysisConfig,
-    AnalysisError, AnalysisStats, BatchGroup, BatchOptions, BatchOutcome, CacheScope, CacheStats,
-    CapabilityView, ClosureCache,
+    analyze, analyze_batch, analyze_batch_cached, analyze_caps, analyze_with_config,
+    AnalysisConfig, AnalysisError, AnalysisStats, BatchGroup, BatchOptions, BatchOutcome,
+    CacheScope, CacheStats, CapabilityView, ClosureCache,
 };
 pub use checker::{Certificate, CheckError};
 pub use closure::{Closure, ProofMode, SaturationMode};

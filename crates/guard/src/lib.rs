@@ -21,8 +21,12 @@
 //! * **fail-stop, not fail-silent**: the flaw is stopped at the first query
 //!   that would complete the dangerous combination — *before* it executes,
 //!   since the analysis is per function-set, not per observed value;
-//! * **cost**: a closure computation per new function combination, paid at
-//!   query time (amortised by caching per exercised-set).
+//! * **cost**: one demand-driven `A(R)` run per query that grows the
+//!   exercised set, paid at query time through the same pipeline as the
+//!   static check ([`analyze_caps`]). A query that adds no function to a
+//!   non-empty exercised set costs no analysis: that exact set was analysed
+//!   and allowed when it last grew. Nothing is cached per set, so a
+//!   session's memory is its exercised set.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,11 +37,8 @@ use oodb_lang::requirement::Requirement;
 use oodb_lang::typeck::check_query;
 use oodb_lang::{parse_query, ParseError, Query, TypeError};
 use oodb_model::{CapabilityList, FnRef, UserName};
-use secflow::algorithm::{check_against, AnalysisError};
-use secflow::closure::Closure;
-use secflow::unfold::NProgram;
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use secflow::algorithm::{analyze_caps, AnalysisConfig, AnalysisError};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Why a query was denied or failed.
@@ -59,7 +60,7 @@ pub enum GuardError {
         function_set: Vec<String>,
     },
     /// The analysis itself failed (budget exceeded, malformed schema).
-    Analysis(String),
+    Analysis(AnalysisError),
 }
 
 impl fmt::Display for GuardError {
@@ -135,9 +136,6 @@ pub struct GuardedSession<'db> {
     requirements: Vec<Requirement>,
     exercised: BTreeSet<FnRef>,
     denied: usize,
-    /// Closure verdicts per function set: the same combination is analysed
-    /// once per session, so steady-state query overhead is one map lookup.
-    verdict_cache: RefCell<BTreeMap<BTreeSet<FnRef>, Option<String>>>,
 }
 
 impl<'db> GuardedSession<'db> {
@@ -154,7 +152,6 @@ impl<'db> GuardedSession<'db> {
             requirements,
             exercised: BTreeSet::new(),
             denied: 0,
-            verdict_cache: RefCell::new(BTreeMap::new()),
         }
     }
 
@@ -211,37 +208,23 @@ impl<'db> GuardedSession<'db> {
         for inv in q.invocations() {
             set.grant(inv.target.clone());
         }
-        let key: BTreeSet<FnRef> = set.iter().cloned().collect();
-        if let Some(cached) = self.verdict_cache.borrow().get(&key) {
-            return match cached {
-                None => Ok(()),
-                Some(requirement) => Err(GuardError::FlawDenied {
-                    requirement: requirement.clone(),
-                    function_set: key.iter().map(|f| f.to_string()).collect(),
-                }),
-            };
+        // The exercised set only grows through `query`, after the guard
+        // allowed exactly the grown set.
+        if !self.exercised.is_empty() && set.len() == self.exercised.len() {
+            return Ok(());
         }
-        let decide = || -> Result<Option<String>, GuardError> {
-            let prog = NProgram::unfold(self.db.schema(), &set)
-                .map_err(|e| GuardError::Analysis(e.to_string()))?;
-            let closure =
-                Closure::compute(&prog).map_err(|e| GuardError::Analysis(e.to_string()))?;
-            for req in &self.requirements {
-                if check_against(&prog, &closure, req).is_violated() {
-                    return Ok(Some(req.to_string()));
-                }
-            }
-            Ok(None)
-        };
-        let verdict = decide()?;
-        self.verdict_cache
-            .borrow_mut()
-            .insert(key.clone(), verdict.clone());
-        match verdict {
+        let verdicts = analyze_caps(
+            self.db.schema(),
+            &set,
+            &self.requirements,
+            &AnalysisConfig::default(),
+        )
+        .map_err(GuardError::Analysis)?;
+        match verdicts.iter().position(|v| v.is_violated()) {
             None => Ok(()),
-            Some(requirement) => Err(GuardError::FlawDenied {
-                requirement,
-                function_set: key.iter().map(|f| f.to_string()).collect(),
+            Some(i) => Err(GuardError::FlawDenied {
+                requirement: self.requirements[i].to_string(),
+                function_set: set.iter().map(|f| f.to_string()).collect(),
             }),
         }
     }
@@ -265,16 +248,6 @@ pub fn guarded_query(
         }
         other => other,
     }
-}
-
-/// Check a whole schema statically (all requirements) — the baseline the
-/// guard is compared against in tests and docs.
-pub fn static_verdicts(schema: &oodb_lang::Schema) -> Result<Vec<(String, bool)>, AnalysisError> {
-    schema
-        .requirements
-        .iter()
-        .map(|r| secflow::algorithm::analyze(schema, r).map(|v| (r.to_string(), v.is_violated())))
-        .collect()
 }
 
 #[cfg(test)]
@@ -353,8 +326,19 @@ mod tests {
         // Statically the clerk's LIST is flawed; dynamically, a session
         // that only ever writes budgets (never probes) is never blocked.
         let mut db = db();
-        let statically = static_verdicts(db.schema()).unwrap();
-        assert!(statically.iter().any(|(_, v)| *v), "list is flawed");
+        let statically = secflow::algorithm::analyze_batch(
+            db.schema(),
+            &db.schema().requirements,
+            &AnalysisConfig::default(),
+            &secflow::algorithm::BatchOptions::default(),
+        );
+        assert!(
+            statically
+                .verdicts
+                .iter()
+                .any(|v| v.as_ref().unwrap().is_violated()),
+            "list is flawed"
+        );
 
         let mut s = GuardedSession::open_from_schema(&mut db, "clerk");
         for v in [1, 2, 3] {
@@ -382,18 +366,22 @@ mod tests {
     }
 
     #[test]
-    fn verdict_cache_is_consulted() {
+    fn repeated_queries_keep_their_decision() {
         let mut db = db();
         let mut s = GuardedSession::open_from_schema(&mut db, "clerk");
-        // Same query twice: the second guard decision is a cache hit (same
-        // function set), and both succeed.
+        // An allowed query stays allowed once its functions are exercised…
         s.query("select checkBudget(b) from b in Broker").unwrap();
         s.query("select checkBudget(b) from b in Broker").unwrap();
-        assert_eq!(s.verdict_cache.borrow().len(), 1);
-        // A denial is cached too.
-        let _ = s.query("select w_budget(b, 1), checkBudget(b) from b in Broker");
-        let _ = s.query("select w_budget(b, 2), checkBudget(b) from b in Broker");
-        assert_eq!(s.verdict_cache.borrow().len(), 2);
+        // …and a denied one stays denied: a denial never grows the set.
+        for v in [1, 2] {
+            let err = s
+                .query(&format!(
+                    "select w_budget(b, {v}), checkBudget(b) from b in Broker"
+                ))
+                .unwrap_err();
+            assert!(matches!(err, GuardError::FlawDenied { .. }));
+        }
+        assert_eq!(s.exercised().len(), 1);
     }
 
     #[test]

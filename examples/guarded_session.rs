@@ -13,7 +13,8 @@
 use oodb_engine::Database;
 use oodb_lang::parse_schema;
 use oodb_model::Value;
-use secflow_guard::{static_verdicts, GuardedSession};
+use secflow::algorithm::{analyze_batch, AnalysisConfig, BatchOptions};
+use secflow_guard::GuardedSession;
 
 fn main() {
     let schema = parse_schema(
@@ -30,7 +31,14 @@ fn main() {
     .expect("schema parses");
 
     println!("== static verdicts over the capability LIST ==");
-    for (req, flawed) in static_verdicts(&schema).expect("analysis runs") {
+    let outcome = analyze_batch(
+        &schema,
+        &schema.requirements,
+        &AnalysisConfig::default(),
+        &BatchOptions::default(),
+    );
+    for (req, verdict) in schema.requirements.iter().zip(outcome.verdicts) {
+        let flawed = verdict.expect("analysis runs").is_violated();
         println!("  {} -> {}", req, if flawed { "FLAW" } else { "ok" });
     }
     println!();
@@ -88,6 +96,6 @@ fn main() {
     println!("Trade-off vs. the static check (paper §5): the static analysis");
     println!("rejects the POLICY once, offline; the guard permits more");
     println!("sessions (write-only sessions above would never be blocked)");
-    println!("but pays an analysis per query and only stops flaws at the");
-    println!("last moment.");
+    println!("but pays an analysis per query that grows the session's");
+    println!("function set and only stops flaws at the last moment.");
 }

@@ -14,7 +14,7 @@
 
 use oodb_engine::{snapshot, Session};
 use oodb_lang::parse_schema;
-use secflow::advisor::{advise, Advice, AdvisorConfig};
+use secflow::advisor::{advise, Advice};
 use secflow::algorithm::analyze;
 use secflow::closure::Closure;
 use secflow::report::render_derivation;
@@ -64,7 +64,7 @@ fn main() {
 
     // 4. Repair.
     println!("\nadvisor:");
-    match advise(&schema, req, &AdvisorConfig::default()).expect("advisor runs") {
+    match advise(&schema, req).expect("advisor runs") {
         Advice::Repairs(repairs) => {
             for r in &repairs {
                 println!("  option: {r}");
